@@ -577,7 +577,7 @@ def main(argv=None) -> int:
         return 0 if exc.code is None else int(exc.code)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -262,8 +262,10 @@ def _chunk_hits(
 ) -> int:
     """Exceedance count for trials [first_trial, first_trial + count)."""
     z = np.empty((count, n_obs + 1))
+    # One Philox per chunk, hence per thread, re-keyed for every trial.
+    bits = np.random.Philox()
     for i in range(count):
-        z[i] = path_generator(seed, first_trial + i).standard_normal(n_obs + 1)
+        path_generator(seed, first_trial + i, bits).standard_normal(out=z[i])
     v = sigma * z[:, 0]
     hit = np.zeros(count, dtype=bool)
     for k in range(1, n_obs + 1):
@@ -306,7 +308,7 @@ def first_passage_mc(
         (start, min(_MC_CHUNK, trials - start))
         for start in range(0, trials, _MC_CHUNK)
     ]
-    if workers == 1:
+    if min(workers, len(jobs)) == 1:
         hits = sum(
             _chunk_hits(a, b, sigma, threshold, seed, start, count, n_obs)
             for start, count in jobs

@@ -14,7 +14,10 @@ analytic moments directly.
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, path_index)``: path i always consumes its own stream, so results do
 not depend on how many paths are generated, in what order, or on how work is
-split across threads.
+split across threads.  A Philox's whole state is its (key, counter) pair, so
+a hot loop may pass one ``np.random.Philox`` to ``path_generator`` and have it
+re-keyed per path: the draws are bit-identical to a freshly built generator's,
+without the cost of constructing one per path.
 """
 
 from __future__ import annotations
@@ -29,14 +32,44 @@ from scipy.signal import lfilter
 from .circuit import RcStage
 
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
+_SEED_MIN = -(1 << 63)
+_KEY_LIMIT = 1 << 64
+# Counter and output buffer of a freshly keyed Philox.  The state setter
+# copies the words into the generator, so every re-key can share this array.
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
 
 
-def path_generator(seed: int, path_index: int) -> np.random.Generator:
-    """Philox generator for one path, keyed by (seed, path_index)."""
-    key = np.array(
-        [seed & _UINT64_MASK, path_index & _UINT64_MASK], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+def path_generator(
+    seed: int, path_index: int, bit_generator: np.random.Philox | None = None
+) -> np.random.Generator:
+    """Philox generator for one path, keyed by (seed, path_index).
+
+    ``seed`` must lie in [-2**63, 2**64) and ``path_index`` in [0, 2**64); a
+    negative seed is taken modulo 2**64.  Wider values would be masked onto
+    another key silently, so they raise ValueError.
+
+    With ``bit_generator`` given, that Philox is re-keyed in place (zero
+    counter, empty buffer) and wrapped instead of building a new one; the
+    draws are bit-identical either way.  The object is reused, so a generator
+    returned earlier for it must no longer be drawn from, and it must not be
+    shared between threads.
+    """
+    if not _SEED_MIN <= seed < _KEY_LIMIT:
+        raise ValueError(f"seed must lie in [-2**63, 2**64), got {seed!r}")
+    if not 0 <= path_index < _KEY_LIMIT:
+        raise ValueError(f"path_index must lie in [0, 2**64), got {path_index!r}")
+    key = [seed & _UINT64_MASK, path_index & _UINT64_MASK]
+    if bit_generator is None:
+        return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": key},
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bit_generator)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ be exact and boring: one multiplication, one division, no hidden unit systems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # Exact SI defining value, J/K.
@@ -21,9 +22,9 @@ class PhysicalEnvironment:
 
     ``temperature`` is in kelvin.  Zero temperature switches off thermal noise
     entirely and is useful only for deterministic-decay checks, so it must be
-    requested explicitly via ``allow_zero_temperature``; negative temperatures
-    are always rejected.  Instances are frozen and safe to share across
-    threads.
+    requested explicitly via ``allow_zero_temperature``; negative and
+    non-finite temperatures are always rejected.  Instances are frozen and
+    safe to share across threads.
     """
 
     temperature: float = ROOM_TEMPERATURE
@@ -31,9 +32,9 @@ class PhysicalEnvironment:
     allow_zero_temperature: bool = False
 
     def __post_init__(self) -> None:
-        if not self.temperature >= 0.0:
+        if not (self.temperature >= 0.0 and math.isfinite(self.temperature)):
             raise ValueError(
-                f"temperature must be >= 0 K, got {self.temperature!r}"
+                f"temperature must be finite and >= 0 K, got {self.temperature!r}"
             )
         if self.temperature == 0.0 and not self.allow_zero_temperature:
             raise ValueError(

@@ -114,6 +114,20 @@ class TestCycleCommand:
         assert code == 2
         assert "capacitance" in err
 
+    def test_overflowing_swing_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "cycle", "--cap", "1e-15", "--swing", "1e300")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_infinite_temperature_is_domain_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "cycle", "--cap", "1e-15", "--swing", "0.5", "--temp", "inf"
+        )
+        assert code == 2
+        assert out == ""
+        assert "temperature" in err
+
 
 class TestMcCommand:
     QUICK = (
@@ -159,6 +173,13 @@ class TestMcCommand:
         code, _, err = run_cli(capsys, *self.QUICK)
         assert code == 2
         assert "KTFLOOR_SEED" in err
+
+    def test_seed_past_64_bits_is_domain_error(self, capsys):
+        # 2**64 + 12 used to be masked to seed 12 and reuse its streams.
+        code, out, err = run_cli(capsys, *self.QUICK, "--seed", str(2**64 + 12))
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
 
     def test_path_dump(self, capsys, tmp_path):
         dump = tmp_path / "path.csv"

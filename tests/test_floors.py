@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ar1_oracle import exceedance_probability
+from ktfloor import floors
 from ktfloor import (
     ErrorSpec,
     OuProcess,
@@ -313,6 +314,26 @@ class TestFirstPassageMc:
             for w in (1, 2, 3)
         ]
         assert results[0].hits == results[1].hits == results[2].hits
+
+    @pytest.mark.parametrize("k_sigma, t_obs, hits", [(3.0, 1e-9, 97), (4.0, 1e-7, 248)])
+    def test_benchmark_hit_counts_are_pinned(self, k_sigma, t_obs, hits):
+        # tau = 1e-10 s, so n_obs = 10 and 1000: the benchmark's two MC
+        # workloads at its default seed.  Any change of stream fails here.
+        result = first_passage_mc(
+            make_stage(res=1e5), k_sigma * SIGMA_1FF_300K, t_obs, trials=8192, seed=12345
+        )
+        assert result.n_observations == round(t_obs / 1e-10)
+        assert result.hits == hits
+
+    def test_single_chunk_runs_without_a_thread_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one chunk must not start a thread pool")
+
+        monkeypatch.setattr(floors, "ThreadPoolExecutor", no_pool)
+        kwargs = dict(threshold=2.0 * SIGMA_1FF_300K, observation_time=1e-8, seed=7)
+        pooled = first_passage_mc(make_stage(), trials=1000, workers=2, **kwargs)
+        serial = first_passage_mc(make_stage(), trials=1000, workers=1, **kwargs)
+        assert pooled == serial
 
     def test_trials_consume_per_path_streams(self):
         # Trial i of the Monte Carlo must see exactly the path that

@@ -113,6 +113,43 @@ class TestReproducibility:
         gen = path_generator(-3, 0)
         assert np.isfinite(gen.standard_normal())
 
+    @pytest.mark.parametrize("seed", [0, -3, 12345, 2**64 - 1])
+    def test_rekeyed_generator_matches_fresh_generator(self, seed):
+        bits = np.random.Philox()
+        for index in (0, 1, 2**32 + 5, 2**63):
+            fresh = path_generator(seed, index).standard_normal(1001)
+            rekeyed = path_generator(seed, index, bits).standard_normal(1001)
+            assert np.array_equal(rekeyed, fresh)
+
+    def test_rekey_discards_partial_draws(self):
+        # A partial draw leaves a half-used counter block behind, and an odd
+        # number of 32-bit draws a buffered half word; neither may leak into
+        # the stream of the next path keyed onto the same Philox.  draws()
+        # takes an even number of 32-bit words, so it leaves none buffered.
+        def draws(gen):
+            normals = gen.standard_normal(1001)
+            return normals, gen.integers(0, 2**31, size=4, dtype=np.uint32)
+
+        fresh = draws(path_generator(7, 2))
+        bits = np.random.Philox()
+        path_generator(5, 0, bits).standard_normal(3)
+        after_partial = draws(path_generator(7, 2, bits))
+        path_generator(5, 0, bits).integers(0, 2**31, size=3, dtype=np.uint32)
+        after_odd = draws(path_generator(7, 2, bits))
+        for got in (after_partial, after_odd):
+            assert np.array_equal(got[0], fresh[0])
+            assert np.array_equal(got[1], fresh[1])
+
+    @pytest.mark.parametrize(
+        "seed, index", [(2**64, 0), (-(2**63) - 1, 0), (0, -1), (0, 2**64)]
+    )
+    def test_out_of_range_keys_rejected(self, seed, index):
+        # Masking them to 64 bits would alias another (seed, index) stream.
+        with pytest.raises(ValueError):
+            path_generator(seed, index)
+        with pytest.raises(ValueError):
+            path_generator(seed, index, np.random.Philox())
+
     def test_seed_independence_cross_correlation(self):
         process = OuProcess.from_stage(STAGE)
         a = stationary_path(process, 1e-9, 1_000_000, seed=1).samples

@@ -39,6 +39,12 @@ def test_negative_temperature_rejected():
         PhysicalEnvironment(temperature=-1.0, allow_zero_temperature=True)
 
 
+@pytest.mark.parametrize("temperature", [math.inf, math.nan])
+def test_non_finite_temperature_rejected(temperature):
+    with pytest.raises(ValueError, match="finite"):
+        PhysicalEnvironment(temperature=temperature)
+
+
 def test_nonpositive_boltzmann_rejected():
     with pytest.raises(ValueError):
         PhysicalEnvironment(temperature=300.0, boltzmann_constant=0.0)

@@ -9,6 +9,7 @@ full 0 -> 1 -> 0 logic cycle costs C*U1**2 no matter how the switch is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,20 @@ class RcStage:
         return self.resistance * self.capacitance
 
     def charge_energy(self) -> float:
-        """Energy stored on the capacitor at full swing: C*U1**2/2, joules."""
-        return 0.5 * self.capacitance * self.swing_voltage**2
+        """Energy stored on the capacitor at full swing: C*U1**2/2, joules.
+
+        Raises ValueError, naming the swing, when the energy is not finite.
+        """
+        try:
+            energy = 0.5 * self.capacitance * self.swing_voltage**2
+            if math.isfinite(energy):
+                return energy
+        except OverflowError:
+            pass
+        raise ValueError(
+            f"swing {self.swing_voltage!r} V on C={self.capacitance!r} F "
+            "overflows the charge energy C*U1**2/2"
+        )
 
     def step_charge_dissipation(self) -> float:
         """Heat dumped in the resistance while charging 0 -> U1, joules.

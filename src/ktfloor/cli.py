@@ -17,7 +17,7 @@ Carlo seed can be overridden with the ``KTFLOOR_SEED`` environment variable.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import os
 import sys
@@ -25,6 +25,7 @@ import sys
 from . import __version__
 from .audit import CLAIM_NEGLECTS, FollowerGate, audit_claim, run_cycle
 from .circuit import RcStage
+from .csvout import write_numeric_csv
 from .floors import ErrorSpec, first_passage_mc, floor_long, floor_short
 from .noise import OuProcess, stationary_path
 from .quantities import ROOM_TEMPERATURE, PhysicalEnvironment
@@ -284,7 +285,11 @@ def cmd_tank(args) -> int:
             dt=args.dt, record=args.dump_waveform is not None
         )
         if args.dump_waveform is not None:
-            _write_waveform(args.dump_waveform, rk4.waveform)
+            write_numeric_csv(
+                args.dump_waveform,
+                ("t", "v_c1", "i_l", "v_c2", "e_loss"),
+                rk4.waveform.tolist(),
+            )
 
     breakeven = None
     if args.e_switch_kt is not None:
@@ -356,14 +361,6 @@ def cmd_tank(args) -> int:
             f"{_kt(env.joules_to_kt(breakeven.break_even_energy))} kT"
         )
     return 0
-
-
-def _write_waveform(path: str, waveform) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["t", "v_c1", "i_l", "v_c2", "e_loss"])
-        for row in waveform:
-            writer.writerow("%.8e" % cell for cell in row)
 
 
 def cmd_sweep(args) -> int:
@@ -549,7 +546,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tank.add_argument(
         "--dt", type=float, default=None, metavar="S",
-        help="RK4 step; must be <= sqrt(L*min(C1,C2))/100",
+        help=(
+            "RK4 step; must be <= sqrt(L*min(C1,C2))/100 and coarse enough "
+            "for at most 10**6 steps over both phases"
+        ),
     )
     p_tank.add_argument(
         "--dump-waveform", default=None, metavar="FILE",
@@ -569,10 +569,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs about twenty times what one parse does, and
+# parsing leaves it unchanged, so one per process serves every call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:

@@ -262,10 +262,10 @@ def _chunk_hits(
 ) -> int:
     """Exceedance count for trials [first_trial, first_trial + count)."""
     z = np.empty((count, n_obs + 1))
-    # One Philox per chunk, hence per thread, re-keyed for every trial.
-    bits = np.random.Philox()
+    # One generator per chunk, hence per thread, re-keyed for every trial.
+    gen = np.random.Generator(np.random.Philox())
     for i in range(count):
-        path_generator(seed, first_trial + i, bits).standard_normal(out=z[i])
+        path_generator(seed, first_trial + i, gen).standard_normal(out=z[i])
     v = sigma * z[:, 0]
     hit = np.zeros(count, dtype=bool)
     for k in range(1, n_obs + 1):

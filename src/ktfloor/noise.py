@@ -15,14 +15,13 @@ Randomness comes from counter-based Philox streams keyed by
 ``(seed, path_index)``: path i always consumes its own stream, so results do
 not depend on how many paths are generated, in what order, or on how work is
 split across threads.  A Philox's whole state is its (key, counter) pair, so
-a hot loop may pass one ``np.random.Philox`` to ``path_generator`` and have it
-re-keyed per path: the draws are bit-identical to a freshly built generator's,
-without the cost of constructing one per path.
+a hot loop may pass one Philox-backed ``np.random.Generator`` to
+``path_generator`` and have it re-keyed per path: the draws are bit-identical
+to a freshly built generator's, without the cost of constructing one per path.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -30,17 +29,18 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .circuit import RcStage
+from .csvout import write_numeric_csv
 
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 _SEED_MIN = -(1 << 63)
 _KEY_LIMIT = 1 << 64
 # Counter and output buffer of a freshly keyed Philox.  The state setter
-# copies the words into the generator, so every re-key can share this array.
-_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+# copies the words, and converts a tuple faster than a uint64 array.
+_ZERO_WORDS = (0, 0, 0, 0)
 
 
 def path_generator(
-    seed: int, path_index: int, bit_generator: np.random.Philox | None = None
+    seed: int, path_index: int, generator: np.random.Generator | None = None
 ) -> np.random.Generator:
     """Philox generator for one path, keyed by (seed, path_index).
 
@@ -48,20 +48,20 @@ def path_generator(
     negative seed is taken modulo 2**64.  Wider values would be masked onto
     another key silently, so they raise ValueError.
 
-    With ``bit_generator`` given, that Philox is re-keyed in place (zero
-    counter, empty buffer) and wrapped instead of building a new one; the
-    draws are bit-identical either way.  The object is reused, so a generator
-    returned earlier for it must no longer be drawn from, and it must not be
-    shared between threads.
+    With a Philox-backed ``generator`` given, its bit generator is re-keyed in
+    place (zero counter, empty buffer) and that same object is returned
+    instead of a new one; the draws are bit-identical either way.  The object
+    is reused, so it must not be shared between threads, and draws meant for
+    an earlier path must be taken before it is re-keyed.
     """
     if not _SEED_MIN <= seed < _KEY_LIMIT:
         raise ValueError(f"seed must lie in [-2**63, 2**64), got {seed!r}")
     if not 0 <= path_index < _KEY_LIMIT:
         raise ValueError(f"path_index must lie in [0, 2**64), got {path_index!r}")
     key = [seed & _UINT64_MASK, path_index & _UINT64_MASK]
-    if bit_generator is None:
+    if generator is None:
         return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
-    bit_generator.state = {
+    generator.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _ZERO_WORDS, "key": key},
         "buffer": _ZERO_WORDS,
@@ -69,7 +69,7 @@ def path_generator(
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return np.random.Generator(bit_generator)
+    return generator
 
 
 @dataclass(frozen=True)
@@ -138,12 +138,8 @@ class NoisePath:
 
     def write_csv(self, path) -> None:
         """Dump the path as RFC-4180 CSV columns (t, V), including t=0."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\r\n")
-            writer.writerow(["t", "V"])
-            writer.writerow(["%.8e" % 0.0, "%.8e" % self.v0])
-            for t, v in zip(self.times(), self.samples):
-                writer.writerow(["%.8e" % t, "%.8e" % v])
+        rows = zip(self.times().tolist(), self.samples.tolist())
+        write_numeric_csv(path, ("t", "V"), [(0.0, self.v0), *rows])
 
 
 def _recurse(a: float, b: float, z: np.ndarray, v0: float) -> np.ndarray:

@@ -13,7 +13,6 @@ timestamps, so identical configs produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import operator
@@ -24,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .circuit import RcStage
+from .csvout import write_numeric_csv
 from .floors import (
     ErrorSpec,
     floor_long,
@@ -63,6 +63,9 @@ COLUMNS = PARAMETERS + (
 )
 
 DEFAULT_SEED = 12345
+
+# Rows are derived and held in memory before anything is written.
+MAX_POINTS = 1_000_000
 
 
 class SweepConfigError(ValueError):
@@ -107,9 +110,10 @@ class SweepSpec:
             raise SweepConfigError(
                 f"field 'start': log scale needs positive endpoints, got {self.start!r}"
             )
-        if self.points < 2:
+        if not 2 <= self.points <= MAX_POINTS:
             raise SweepConfigError(
-                f"field 'points': need at least 2 grid points, got {self.points!r}"
+                f"field 'points': need 2 to {MAX_POINTS} grid points, "
+                f"got {self.points!r}"
             )
         if not isinstance(self.fixed, dict):
             raise SweepConfigError("field 'fixed': must be an object")
@@ -124,6 +128,18 @@ class SweepSpec:
                 raise SweepConfigError(
                     f"field 'fixed': {key!r} is the sweep variable and cannot "
                     "also be fixed"
+                )
+            value = self.fixed[key]
+            if key in _EXTRA_FIXED:
+                try:
+                    operator.index(value)
+                except TypeError:
+                    raise SweepConfigError(
+                        f"field 'fixed': {key!r} must be an integer, got {value!r}"
+                    ) from None
+            elif not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise SweepConfigError(
+                    f"field 'fixed': {key!r} must be a number, got {value!r}"
                 )
         if not self.output_path:
             raise SweepConfigError("field 'output': must be a non-empty path")
@@ -214,7 +230,9 @@ def _derived_row(params: dict) -> dict:
     if cap is not None and swing is not None:
         if not swing >= 0.0:
             raise ValueError(f"swept/fixed U1 must be >= 0 V, got {swing!r}")
-        e1 = 0.5 * cap * swing**2
+        e1 = RcStage(
+            capacitance=cap, resistance=1.0, swing_voltage=swing, env=env
+        ).charge_energy()
         out["e1_J"] = e1
         out["e1_kT"] = env.joules_to_kt(e1)
         out["cycle_J"] = e1 + e1
@@ -258,7 +276,7 @@ def _derived_row(params: dict) -> dict:
                 raise ValueError(
                     f"swept/fixed e_switch must be >= 0 kT, got {e_switch_kt!r}"
                 )
-            n_switches = int(params.get("n_switches", 2))
+            n_switches = params.get("n_switches", 2)
             if n_switches < 2:
                 raise ValueError(
                     f"fixed n_switches must be >= 2, got {n_switches!r}"
@@ -297,14 +315,9 @@ def run_sweep(spec: SweepSpec) -> tuple[Path, Path]:
     csv_path = Path(spec.output_path)
     manifest_path = csv_path.with_suffix(".manifest.json")
 
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(COLUMNS)
-        for row in rows:
-            writer.writerow(
-                "" if row.get(name) is None else "%.8e" % row[name]
-                for name in COLUMNS
-            )
+    write_numeric_csv(
+        csv_path, COLUMNS, ([row[name] for name in COLUMNS] for row in rows)
+    )
 
     manifest = {
         "tool": "ktfloor",

@@ -16,6 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Pure-Python RK4 runs about 10**5 steps per second; the default step of a
+# symmetric tank takes about 630.
+MAX_RK4_STEPS = 1_000_000
+
 
 def symmetric_tank_efficiency(quality_factor: float) -> float:
     """Closed-form transfer efficiency of a symmetric (C1 = C2) tank.
@@ -173,9 +177,11 @@ class TankCircuit:
 
         ``dt`` must satisfy dt <= sqrt(L*min(C1, C2))/100 (a hundredth of the
         fastest natural period's radian time) or the run is refused; default
-        is half that bound.  The resistive loss is integrated as a state
-        component, so the waveform rows (t, v_c1, i_l, v_c2, e_loss) carry a
-        complete energy ledger at every step.
+        is half that bound.  A dt that would take more than MAX_RK4_STEPS
+        steps over both phases is refused too, before any step runs.  The
+        resistive loss is integrated as a state component, so the waveform
+        rows (t, v_c1, i_l, v_c2, e_loss) carry a complete energy ledger at
+        every step.
         """
         dt_bound = math.sqrt(self.inductance * min(self.c1, self.c2)) / 100.0
         if dt is None:
@@ -188,6 +194,12 @@ class TankCircuit:
                 f"dt <= sqrt(L*min(C1,C2))/100 = {dt_bound!r} s"
             )
         t1, t2 = self.transfer_schedule()
+        steps = t1 / dt + t2 / dt
+        if not steps <= MAX_RK4_STEPS:
+            raise ValueError(
+                f"dt={dt!r} s needs {steps:.3g} RK4 steps over "
+                f"t1 + t2 = {t1 + t2!r} s; the limit is {MAX_RK4_STEPS} steps"
+            )
         resistance = self.series_resistance
         inductance = self.inductance
         rows: list[tuple[float, float, float, float, float]] = []

@@ -55,6 +55,13 @@ class TestChargeEnergy:
     def test_correlation_time(self):
         assert make_stage().correlation_time == pytest.approx(1e-9, rel=1e-15)
 
+    @pytest.mark.parametrize("cap, swing", [(1e-15, 1e300), (1e300, 1e10)])
+    def test_overflow_names_the_swing(self, cap, swing):
+        stage = make_stage(cap=cap, swing=swing)
+        with pytest.raises(ValueError, match=r"C\*U1\*\*2/2") as info:
+            stage.charge_energy()
+        assert repr(swing) in str(info.value)
+
 
 class TestCycleLedger:
     def test_step_dissipation_is_resistance_independent_bitwise(self):

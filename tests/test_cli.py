@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ktfloor import cli
 from ktfloor.cli import main
 
 
@@ -119,6 +120,14 @@ class TestCycleCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_overflowing_swing_message_names_the_input(self, capsys):
+        code, _, err = run_cli(capsys, "cycle", "--cap", "1e-15", "--swing", "1e300")
+        assert code == 2
+        assert err == (
+            "error: swing 1e+300 V on C=1e-15 F overflows the charge energy "
+            "C*U1**2/2\n"
+        )
 
     def test_infinite_temperature_is_domain_error(self, capsys):
         code, out, err = run_cli(
@@ -236,6 +245,17 @@ class TestTankCommand:
         assert code == 2
         assert "underdamped" in err
 
+    @pytest.mark.parametrize("dt", ["1e-30", "5e-324"])
+    def test_step_count_cap_is_domain_error(self, capsys, monkeypatch, dt):
+        def no_step(*args):
+            raise AssertionError("an RK4 step ran")
+
+        monkeypatch.setattr("ktfloor.tank._rk4_step", no_step)
+        code, out, err = run_cli(capsys, *self.Q100, "--simulate", "--dt", dt)
+        assert code == 2
+        assert out == ""
+        assert "RK4 steps" in err and err.count("\n") == 1
+
     def test_coarse_dt_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, *self.Q100, "--simulate", "--dt", "1e-9")
         assert code == 2
@@ -307,6 +327,35 @@ class TestSweepCommand:
         assert code == 2
         assert "points" in err
 
+    @pytest.mark.parametrize(
+        "fixed, named",
+        [
+            ({"C": 1e-15, "U1": "abc"}, "'U1'"),
+            ({"C": 1e-15, "U1": 1e300}, "swing 1e+300 V"),
+            ({"q": 50.0, "e_switch": 3.0, "n_switches": 2.7}, "'n_switches'"),
+        ],
+    )
+    def test_bad_fixed_value_is_domain_error(self, capsys, tmp_path, fixed, named):
+        config = self.write_config(
+            tmp_path,
+            text=json.dumps(
+                {
+                    "variable": "epsilon",
+                    "scale": "log",
+                    "start": 1e-30,
+                    "stop": 1e-3,
+                    "points": 5,
+                    "fixed": fixed,
+                    "output": str(tmp_path / "rows.csv"),
+                }
+            ),
+        )
+        code, out, err = run_cli(capsys, "sweep", str(config))
+        assert code == 2
+        assert out == ""
+        assert named in err and err.count("\n") == 1
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_missing_file_is_an_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep", str(tmp_path / "absent.json"))
         assert code == 2
@@ -326,3 +375,61 @@ class TestTopLevel:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "melt")
         assert code == 2
+
+
+class TestCachedParser:
+    """``main`` parses every call with one parser built once per process."""
+
+    CALLS = (
+        (
+            "cycle", "--cap", "1e-15", "--swing", "0.5", "--claimed-kt", "3",
+            "--strict", "--json", "--accounting", "op", "--friction-kt", "0.5",
+        ),
+        ("cycle", "--cap", "1e-15", "--swing", "0.5"),
+        ("floor", "--epsilon", "1e-9", "--t-obs", "1", "--tau", "1e-9", "--json"),
+        ("floor", "--epsilon", "1e-9"),
+        (
+            "tank", "--inductance", "1e-6", "--c1", "1e-12", "--c2", "2e-12",
+            "--v0", "1.0", "--resistance", "10", "--e-switch-kt", "70",
+            "--n-switches", "4", "--simulate", "--dt", "1e-12", "--json",
+        ),
+        ("tank", "--inductance", "1e-6", "--c1", "1e-12", "--c2", "1e-12", "--v0", "1.0"),
+        (
+            "mc", "--cap", "1e-15", "--res", "1e6", "--threshold-sigma", "2.0",
+            "--t-obs", "1e-8", "--trials", "200", "--seed", "7", "--workers", "3",
+            "--json",
+        ),
+        (
+            "mc", "--cap", "1e-15", "--res", "1e6", "--threshold-sigma", "2.0",
+            "--t-obs", "1e-8", "--trials", "200",
+        ),
+    )
+
+    def test_main_builds_the_parser_once(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_no_value_leaks_from_one_call_into_the_next(self, capsys):
+        cached = cli._parser()
+        for argv in self.CALLS + (("sweep", "rows.json"),):
+            got = cached.parse_args(list(argv))
+            assert vars(got) == vars(cli.build_parser().parse_args(list(argv)))
+        outputs = [run_cli(capsys, *argv) for argv in self.CALLS]
+        for argv, output in zip(self.CALLS, outputs):
+            cli._parser.cache_clear()
+            assert run_cli(capsys, *argv) == output
+
+    def test_exit_codes_hold_between_calls(self, capsys):
+        sequence = (
+            (("floor", "--epsilon", "1e-9"), 0),
+            (("--help",), 0),
+            (("cycle", "--cap", "1e-15"), 2),
+            (("tank", "--bogus"), 2),
+            (("cycle", "--help"), 0),
+            (("mc", "--cap", "x"), 2),
+            (("floor", "--epsilon", "1e-9"), 0),
+        )
+        first = [run_cli(capsys, *argv) for argv, _ in sequence]
+        second = [run_cli(capsys, *argv) for argv, _ in sequence]
+        assert [code for code, _, _ in first] == [code for _, code in sequence]
+        assert second == first

@@ -115,11 +115,17 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("seed", [0, -3, 12345, 2**64 - 1])
     def test_rekeyed_generator_matches_fresh_generator(self, seed):
-        bits = np.random.Philox()
+        gen = np.random.Generator(np.random.Philox())
         for index in (0, 1, 2**32 + 5, 2**63):
             fresh = path_generator(seed, index).standard_normal(1001)
-            rekeyed = path_generator(seed, index, bits).standard_normal(1001)
+            rekeyed = path_generator(seed, index, gen).standard_normal(1001)
             assert np.array_equal(rekeyed, fresh)
+
+    def test_rekey_returns_the_generator_it_was_given(self):
+        gen = np.random.Generator(np.random.Philox())
+        assert path_generator(3, 1, gen) is gen
+        with pytest.raises(ValueError):
+            path_generator(3, 1, np.random.default_rng(0))
 
     def test_rekey_discards_partial_draws(self):
         # A partial draw leaves a half-used counter block behind, and an odd
@@ -131,11 +137,11 @@ class TestReproducibility:
             return normals, gen.integers(0, 2**31, size=4, dtype=np.uint32)
 
         fresh = draws(path_generator(7, 2))
-        bits = np.random.Philox()
-        path_generator(5, 0, bits).standard_normal(3)
-        after_partial = draws(path_generator(7, 2, bits))
-        path_generator(5, 0, bits).integers(0, 2**31, size=3, dtype=np.uint32)
-        after_odd = draws(path_generator(7, 2, bits))
+        gen = np.random.Generator(np.random.Philox())
+        path_generator(5, 0, gen).standard_normal(3)
+        after_partial = draws(path_generator(7, 2, gen))
+        path_generator(5, 0, gen).integers(0, 2**31, size=3, dtype=np.uint32)
+        after_odd = draws(path_generator(7, 2, gen))
         for got in (after_partial, after_odd):
             assert np.array_equal(got[0], fresh[0])
             assert np.array_equal(got[1], fresh[1])
@@ -148,7 +154,7 @@ class TestReproducibility:
         with pytest.raises(ValueError):
             path_generator(seed, index)
         with pytest.raises(ValueError):
-            path_generator(seed, index, np.random.Philox())
+            path_generator(seed, index, np.random.Generator(np.random.Philox()))
 
     def test_seed_independence_cross_correlation(self):
         process = OuProcess.from_stage(STAGE)

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from ktfloor import SweepConfigError, SweepSpec, run_sweep
-from ktfloor.sweep import COLUMNS, compute_rows
+from ktfloor.sweep import COLUMNS, MAX_POINTS, compute_rows
 
 
 def base_config(tmp_path, **overrides):
@@ -91,6 +91,25 @@ class TestConfigValidation:
     def test_fixed_must_be_object(self, tmp_path):
         with pytest.raises(SweepConfigError, match="fixed"):
             SweepSpec.from_config(base_config(tmp_path, fixed=[1, 2]))
+
+    @pytest.mark.parametrize("value", ["abc", True, None, [1e-15]])
+    def test_fixed_value_must_be_a_number(self, tmp_path, value):
+        config = base_config(tmp_path)
+        config["fixed"]["C"] = value
+        with pytest.raises(SweepConfigError, match="'C' must be a number"):
+            SweepSpec.from_config(config)
+
+    @pytest.mark.parametrize("value", [2.7, 3.0, "3"])
+    def test_fixed_n_switches_must_be_an_integer(self, tmp_path, value):
+        config = base_config(tmp_path)
+        config["fixed"]["n_switches"] = value
+        with pytest.raises(SweepConfigError, match="'n_switches' must be an integer"):
+            SweepSpec.from_config(config)
+
+    def test_points_bounded_before_any_work(self, tmp_path):
+        assert SweepSpec.from_config(base_config(tmp_path, points=MAX_POINTS)).points == MAX_POINTS
+        with pytest.raises(SweepConfigError, match="points"):
+            SweepSpec.from_config(base_config(tmp_path, points=MAX_POINTS + 1))
 
 
 class TestGrid:

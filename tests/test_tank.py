@@ -165,6 +165,15 @@ class TestSimulation:
         with pytest.raises(ValueError):
             tank.simulate_transfer(dt=0.0)
 
+    def test_step_count_cap_counts_both_phases(self, monkeypatch):
+        monkeypatch.setattr("ktfloor.tank.MAX_RK4_STEPS", 1000)
+        tank = make_tank()
+        t1, t2 = tank.transfer_schedule()
+        report = tank.simulate_transfer(dt=(t1 + t2) / 990)
+        assert report.efficiency == pytest.approx(1.0, abs=1e-6)
+        with pytest.raises(ValueError, match="RK4 steps"):
+            tank.simulate_transfer(dt=(t1 + t2) / 1010)
+
     def test_most_energy_lost_at_low_quality(self):
         # q just above the underdamped bound: the ring is mostly burned.
         report = make_tank(resistance=1800.0).simulate_transfer()

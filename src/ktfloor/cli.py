@@ -17,7 +17,6 @@ Carlo seed can be overridden with the ``KTFLOOR_SEED`` environment variable.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -569,14 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Building the parser costs about twenty times what one parse does, and
-# parsing leaves it unchanged, so one per process serves every call.
-_parser = functools.cache(build_parser)
-
-
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:

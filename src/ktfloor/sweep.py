@@ -131,12 +131,14 @@ class SweepSpec:
                 )
             value = self.fixed[key]
             if key in _EXTRA_FIXED:
-                try:
-                    operator.index(value)
-                except TypeError:
+                # A whole-number float such as 3.0 counts as the integer 3.
+                if isinstance(value, bool) or not (
+                    isinstance(value, int)
+                    or (isinstance(value, float) and value.is_integer())
+                ):
                     raise SweepConfigError(
                         f"field 'fixed': {key!r} must be an integer, got {value!r}"
-                    ) from None
+                    )
             elif not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise SweepConfigError(
                     f"field 'fixed': {key!r} must be a number, got {value!r}"
@@ -228,8 +230,7 @@ def _derived_row(params: dict) -> dict:
         out["sigma_V"] = sigma
 
     if cap is not None and swing is not None:
-        if not swing >= 0.0:
-            raise ValueError(f"swept/fixed U1 must be >= 0 V, got {swing!r}")
+        # C*U1**2/2 does not depend on R; RcStage refuses a negative swing.
         e1 = RcStage(
             capacitance=cap, resistance=1.0, swing_voltage=swing, env=env
         ).charge_energy()
@@ -276,7 +277,7 @@ def _derived_row(params: dict) -> dict:
                 raise ValueError(
                     f"swept/fixed e_switch must be >= 0 kT, got {e_switch_kt!r}"
                 )
-            n_switches = params.get("n_switches", 2)
+            n_switches = int(params.get("n_switches", 2))
             if n_switches < 2:
                 raise ValueError(
                     f"fixed n_switches must be >= 2, got {n_switches!r}"

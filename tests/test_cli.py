@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from ktfloor import cli
 from ktfloor.cli import main
 
 
@@ -376,60 +375,3 @@ class TestTopLevel:
         code, _, _ = run_cli(capsys, "melt")
         assert code == 2
 
-
-class TestCachedParser:
-    """``main`` parses every call with one parser built once per process."""
-
-    CALLS = (
-        (
-            "cycle", "--cap", "1e-15", "--swing", "0.5", "--claimed-kt", "3",
-            "--strict", "--json", "--accounting", "op", "--friction-kt", "0.5",
-        ),
-        ("cycle", "--cap", "1e-15", "--swing", "0.5"),
-        ("floor", "--epsilon", "1e-9", "--t-obs", "1", "--tau", "1e-9", "--json"),
-        ("floor", "--epsilon", "1e-9"),
-        (
-            "tank", "--inductance", "1e-6", "--c1", "1e-12", "--c2", "2e-12",
-            "--v0", "1.0", "--resistance", "10", "--e-switch-kt", "70",
-            "--n-switches", "4", "--simulate", "--dt", "1e-12", "--json",
-        ),
-        ("tank", "--inductance", "1e-6", "--c1", "1e-12", "--c2", "1e-12", "--v0", "1.0"),
-        (
-            "mc", "--cap", "1e-15", "--res", "1e6", "--threshold-sigma", "2.0",
-            "--t-obs", "1e-8", "--trials", "200", "--seed", "7", "--workers", "3",
-            "--json",
-        ),
-        (
-            "mc", "--cap", "1e-15", "--res", "1e6", "--threshold-sigma", "2.0",
-            "--t-obs", "1e-8", "--trials", "200",
-        ),
-    )
-
-    def test_main_builds_the_parser_once(self):
-        assert cli._parser() is cli._parser()
-        assert cli.build_parser() is not cli.build_parser()
-
-    def test_no_value_leaks_from_one_call_into_the_next(self, capsys):
-        cached = cli._parser()
-        for argv in self.CALLS + (("sweep", "rows.json"),):
-            got = cached.parse_args(list(argv))
-            assert vars(got) == vars(cli.build_parser().parse_args(list(argv)))
-        outputs = [run_cli(capsys, *argv) for argv in self.CALLS]
-        for argv, output in zip(self.CALLS, outputs):
-            cli._parser.cache_clear()
-            assert run_cli(capsys, *argv) == output
-
-    def test_exit_codes_hold_between_calls(self, capsys):
-        sequence = (
-            (("floor", "--epsilon", "1e-9"), 0),
-            (("--help",), 0),
-            (("cycle", "--cap", "1e-15"), 2),
-            (("tank", "--bogus"), 2),
-            (("cycle", "--help"), 0),
-            (("mc", "--cap", "x"), 2),
-            (("floor", "--epsilon", "1e-9"), 0),
-        )
-        first = [run_cli(capsys, *argv) for argv, _ in sequence]
-        second = [run_cli(capsys, *argv) for argv, _ in sequence]
-        assert [code for code, _, _ in first] == [code for _, code in sequence]
-        assert second == first

@@ -99,12 +99,23 @@ class TestConfigValidation:
         with pytest.raises(SweepConfigError, match="'C' must be a number"):
             SweepSpec.from_config(config)
 
-    @pytest.mark.parametrize("value", [2.7, 3.0, "3"])
+    @pytest.mark.parametrize("value", [2.7, "3", True, math.inf, math.nan])
     def test_fixed_n_switches_must_be_an_integer(self, tmp_path, value):
         config = base_config(tmp_path)
         config["fixed"]["n_switches"] = value
         with pytest.raises(SweepConfigError, match="'n_switches' must be an integer"):
             SweepSpec.from_config(config)
+
+    def test_whole_number_float_n_switches_counts_as_integer(self, tmp_path):
+        rows = {}
+        for value in (3, 3.0):
+            config = base_config(
+                tmp_path, variable="q", start=2.0, stop=100.0,
+                fixed={"e_switch": 70.0, "n_switches": value},
+            )
+            rows[value] = compute_rows(SweepSpec.from_config(config))
+        assert rows[3.0] == rows[3]
+        assert rows[3][0]["break_even_kT"] == 3 * 70.0 / rows[3][0]["tank_efficiency"]
 
     def test_points_bounded_before_any_work(self, tmp_path):
         assert SweepSpec.from_config(base_config(tmp_path, points=MAX_POINTS)).points == MAX_POINTS
@@ -181,6 +192,16 @@ class TestDerivedColumns:
             assert row["break_even_kT"] == pytest.approx(
                 140.0 / row["tank_efficiency"], rel=1e-12
             )
+
+    def test_negative_swing_is_refused(self, tmp_path):
+        spec = SweepSpec.from_config(
+            base_config(
+                tmp_path, variable="C", start=1e-16, stop=1e-14,
+                fixed={"U1": -0.5},
+            )
+        )
+        with pytest.raises(ValueError, match="swing_voltage must be >= 0 V, got -0.5"):
+            compute_rows(spec)
 
     def test_domain_error_stops_before_writing(self, tmp_path):
         config = base_config(

@@ -28,10 +28,8 @@ from .csvout import write_numeric_csv
 from .floors import ErrorSpec, first_passage_mc, floor_long, floor_short
 from .noise import OuProcess, stationary_path
 from .quantities import ROOM_TEMPERATURE, PhysicalEnvironment
-from .sweep import SweepConfigError, load_config, run_sweep
+from .sweep import DEFAULT_SEED, SweepConfigError, load_config, run_sweep
 from .tank import TankCircuit
-
-DEFAULT_SEED = 12345
 
 
 def _resolve_seed(args) -> int:
@@ -483,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mc.add_argument(
         "--t-obs", type=float, required=True, metavar="S",
-        help="observation window; one observation per tau",
+        help="observation window; one observation per tau, at most 4194303",
     )
     p_mc.add_argument(
         "--trials", type=int, default=100000, metavar="N",

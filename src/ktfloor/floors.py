@@ -29,10 +29,12 @@ from .quantities import PhysicalEnvironment
 
 _SQRT2 = math.sqrt(2.0)
 
-# Trials per vectorized Monte Carlo batch.  Fixed (not worker-dependent) so
-# the batch structure never enters the results; per-trial streams make the
-# hit counts independent of batching anyway.
+# Trials per vectorized Monte Carlo batch, fewer when a batch's
+# (trials, n_obs + 1) float64 array would pass _MC_CHUNK_BYTES.  Not
+# worker-dependent, and per-trial streams make the hit counts independent of
+# batching anyway.
 _MC_CHUNK = 4096
+_MC_CHUNK_BYTES = 32 * 2**20
 
 
 def tail_probability(x: float) -> float:
@@ -289,6 +291,9 @@ def first_passage_mc(
     hits if any observation exceeds the threshold.  Trial i always consumes
     Philox stream (seed, i), so the estimate is byte-reproducible and
     independent of ``workers`` and of batching.
+
+    A batch holds whole paths in memory, at most 32 MiB, so windows of more
+    than 4194303 observations raise ValueError before any allocation.
     """
     process = OuProcess.from_stage(stage)
     sigma = process.stationary_sigma
@@ -302,11 +307,16 @@ def first_passage_mc(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     n_obs = observation_count(observation_time, tau)
+    rows = min(_MC_CHUNK, _MC_CHUNK_BYTES // (8 * (n_obs + 1)))
+    if rows == 0:
+        raise ValueError(
+            f"t_o/tau = {n_obs} observations per trial exceed the Monte Carlo "
+            f"limit of {_MC_CHUNK_BYTES // 8 - 1}"
+        )
     a, b = process.update_coefficients(tau)
 
     jobs = [
-        (start, min(_MC_CHUNK, trials - start))
-        for start in range(0, trials, _MC_CHUNK)
+        (start, min(rows, trials - start)) for start in range(0, trials, rows)
     ]
     if min(workers, len(jobs)) == 1:
         hits = sum(

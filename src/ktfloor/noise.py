@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .circuit import RcStage
 from .csvout import write_numeric_csv
@@ -143,6 +142,11 @@ class NoisePath:
 
 
 def _recurse(a: float, b: float, z: np.ndarray, v0: float) -> np.ndarray:
+    # Importing scipy.signal costs about 1 s and 50 MB of RSS, and only path
+    # generation needs it, so it loads here on first use rather than with
+    # the package; the Monte Carlo and the other commands never pay it.
+    from scipy.signal import lfilter
+
     # y[k] = a*y[k-1] + b*z[k], y[-1] = v0, via an IIR filter.  Bit-identical
     # to the scalar loop: same products, and IEEE addition commutes.
     y, _ = lfilter([b], [1.0, -a], z, zi=np.array([a * v0]))

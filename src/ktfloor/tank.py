@@ -119,8 +119,20 @@ class TankCircuit:
 
     @property
     def energy_initial(self) -> float:
-        """Energy parked on C1 before the transfer, C1*V0**2/2 joules."""
-        return 0.5 * self.c1 * self.initial_voltage**2
+        """Energy parked on C1 before the transfer, C1*V0**2/2 joules.
+
+        Raises ValueError, naming v0, when the energy is not finite.
+        """
+        try:
+            energy = 0.5 * self.c1 * self.initial_voltage**2
+            if math.isfinite(energy):
+                return energy
+        except OverflowError:
+            pass
+        raise ValueError(
+            f"v0 {self.initial_voltage!r} V on C1={self.c1!r} F "
+            "overflows the initial energy C1*V0**2/2"
+        )
 
     def _damped_frequency(self, cap: float) -> float:
         w0_sq = 1.0 / (self.inductance * cap)

@@ -199,6 +199,19 @@ class TestMcCommand:
         assert lines[0] == "t,V"
         assert len(lines) == 13  # header + t=0 + 10 samples + trailing empty
 
+    def test_window_past_memory_limit_is_domain_error(self, capsys):
+        # 1e13 observations per trial: the chunk would need 728 TiB.
+        code, out, err = run_cli(
+            capsys, "mc", "--cap", "1e-15", "--res", "1e5",
+            "--threshold-sigma", "3", "--t-obs", "1e3", "--trials", "10",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: t_o/tau = 10000000000000 observations per trial exceed "
+            "the Monte Carlo limit of 4194303\n"
+        )
+
     def test_window_shorter_than_tau_is_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "mc", "--cap", "1e-15", "--res", "1e6",
@@ -254,6 +267,18 @@ class TestTankCommand:
         assert code == 2
         assert out == ""
         assert "RK4 steps" in err and err.count("\n") == 1
+
+    def test_overflowing_v0_names_the_input(self, capsys):
+        code, out, err = run_cli(
+            capsys, "tank", "--inductance", "1e-6", "--c1", "1e-12",
+            "--c2", "1e-12", "--v0", "1e300",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: v0 1e+300 V on C1=1e-12 F overflows the initial energy "
+            "C1*V0**2/2\n"
+        )
 
     def test_coarse_dt_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, *self.Q100, "--simulate", "--dt", "1e-9")

@@ -325,6 +325,43 @@ class TestFirstPassageMc:
         assert result.n_observations == round(t_obs / 1e-10)
         assert result.hits == hits
 
+    def test_chunk_byte_limit_keeps_hit_counts(self, monkeypatch):
+        # 100 rows of 11 float64 per chunk instead of 4096: 82 chunks, and
+        # trial i still draws stream (seed, i).
+        counts = []
+        chunk_hits = floors._chunk_hits
+
+        def recording(*args):
+            counts.append(args[6])
+            return chunk_hits(*args)
+
+        monkeypatch.setattr(floors, "_MC_CHUNK_BYTES", 100 * 11 * 8)
+        monkeypatch.setattr(floors, "_chunk_hits", recording)
+        result = first_passage_mc(
+            make_stage(res=1e5), 3.0 * SIGMA_1FF_300K, 1e-9, trials=8192, seed=12345
+        )
+        assert result.hits == 97
+        assert counts == [100] * 81 + [92]
+
+    def test_window_past_chunk_byte_limit_is_refused_before_allocating(
+        self, monkeypatch
+    ):
+        counts = []
+
+        def recording(*args):
+            counts.append(args[6])
+            return 0
+
+        monkeypatch.setattr(floors, "_chunk_hits", recording)
+        stage, threshold = make_stage(res=1e5), 3.0 * SIGMA_1FF_300K
+        # tau = 1e-10 s; 4194304 float64 are exactly 32 MiB.
+        result = first_passage_mc(stage, threshold, 4194303e-10, trials=2, seed=1)
+        assert result.n_observations == 4194303
+        assert counts == [1, 1]
+        with pytest.raises(ValueError, match=r"t_o/tau = 4194304 .* 4194303"):
+            first_passage_mc(stage, threshold, 4194304e-10, trials=2, seed=1)
+        assert counts == [1, 1]
+
     def test_single_chunk_runs_without_a_thread_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("one chunk must not start a thread pool")

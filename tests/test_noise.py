@@ -1,6 +1,10 @@
 """OU noise process: exact discretization, reproducible streams, statistics."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,3 +220,38 @@ class TestNoisePath:
         assert lines[0] == "t,V"
         assert lines[1].startswith("0.00000000e+00,")
         assert lines[2].split(",")[0] == "1.00000000e-09"
+
+
+class TestDeferredScipySignal:
+    # scipy.signal is about 1 s of import time and only path generation
+    # uses it, so neither the package nor a command that builds no path may
+    # load it.  One fresh interpreter checks each stage in turn.
+    def test_loaded_only_when_a_path_is_built(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("KTFLOOR_SEED", None)
+        script = (
+            "import contextlib, io, sys\n"
+            "loaded = lambda: 'scipy.signal' in sys.modules\n"
+            "import ktfloor\n"
+            "seen = [loaded()]\n"
+            "from ktfloor.cli import main\n"
+            "seen.append(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [\n"
+            "        main(['floor', '--epsilon', '1e-30']),\n"
+            "        main(['mc', '--cap', '1e-15', '--res', '1e6',\n"
+            "              '--threshold-sigma', '2', '--t-obs', '1e-8',\n"
+            "              '--trials', '100']),\n"
+            "    ]\n"
+            "seen.append(loaded())\n"
+            "ktfloor.stationary_path(ktfloor.OuProcess(1.0, 1.0), 1.0, 3, seed=0)\n"
+            "seen.append(loaded())\n"
+            "print(codes, seen)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.strip() == "[0, 0] [False, False, False, True]"

@@ -75,6 +75,12 @@ class TestConstructionAndSchedule:
         assert shift == pytest.approx(T1_Q100_RELATIVE_SHIFT, rel=1e-6)
         assert shift < 1e-4
 
+    @pytest.mark.parametrize("c1, v0", [(1e-12, 1e300), (10.0, 1e154)])
+    def test_overflowing_initial_energy_is_refused(self, c1, v0):
+        # V0**2 overflows, or stays finite while C1*V0**2/2 does not.
+        with pytest.raises(ValueError, match=r"C1\*V0\*\*2/2"):
+            make_tank(c1=c1, v0=v0).energy_initial
+
 
 class TestClosedFormEfficiency:
     def test_lossless_is_exactly_one(self):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -42,6 +43,15 @@ def _resolve_seed(args) -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"KTFLOOR_SEED must be an integer, got {raw!r}") from None
+
+
+def _refuse_infinite(args, *names: str) -> None:
+    """Refuse +inf energy options by name; the range checks refuse -inf and NaN."""
+    for name in names:
+        value = getattr(args, name)
+        if value == math.inf:
+            option = "--" + name.replace("_", "-")
+            raise ValueError(f"{option} must be finite, got {value!r}")
 
 
 def _print_json(payload: dict) -> None:
@@ -102,6 +112,9 @@ def cmd_floor(args) -> int:
 
 
 def cmd_cycle(args) -> int:
+    _refuse_infinite(
+        args, "friction_per_transition", "friction_kt", "claimed", "claimed_kt"
+    )
     env = PhysicalEnvironment(temperature=args.temp)
     friction = args.friction_per_transition
     if args.friction_kt is not None:
@@ -267,6 +280,7 @@ def cmd_mc(args) -> int:
 
 
 def cmd_tank(args) -> int:
+    _refuse_infinite(args, "e_switch_kt")
     env = PhysicalEnvironment(temperature=args.temp)
     tank = TankCircuit(
         c1=args.c1,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -92,6 +93,10 @@ class ErrorSpec:
         if not self.observation_time >= 0.0:
             raise ValueError(
                 f"observation_time must be >= 0 s, got {self.observation_time!r}"
+            )
+        if math.isinf(self.observation_time):
+            raise ValueError(
+                f"observation_time must be finite, got {self.observation_time!r}"
             )
         if self.correlation_time is not None and not self.correlation_time > 0.0:
             raise ValueError(
@@ -225,6 +230,8 @@ def observation_count(observation_time: float, correlation_time: float) -> int:
             "observation_time is shorter than one correlation time; "
             "no observation instants fit in the window"
         )
+    if not math.isfinite(observation_time):
+        raise ValueError(f"observation_time must be finite, got {observation_time!r}")
     quotient = observation_time / correlation_time
     nearest = round(quotient)
     if abs(quotient - nearest) <= 1e-9 * max(1.0, abs(quotient)):
@@ -318,13 +325,16 @@ def first_passage_mc(
     jobs = [
         (start, min(rows, trials - start)) for start in range(0, trials, rows)
     ]
-    if min(workers, len(jobs)) == 1:
+    # Each thread holds up to _MC_CHUNK_BYTES, so the pool never exceeds
+    # the chunk or core count, whatever ``workers`` asks for.
+    pool_size = min(workers, len(jobs), os.cpu_count() or 1)
+    if pool_size == 1:
         hits = sum(
             _chunk_hits(a, b, sigma, threshold, seed, start, count, n_obs)
             for start, count in jobs
         )
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
             hits = sum(
                 pool.map(
                     lambda job: _chunk_hits(

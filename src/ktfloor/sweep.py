@@ -42,26 +42,6 @@ PARAMETERS = ("U1", "C", "T", "epsilon", "t_o", "tau", "q", "e_switch")
 # Fixed-only knobs (not sweepable, but allowed in "fixed").
 _EXTRA_FIXED = ("n_switches",)
 
-COLUMNS = PARAMETERS + (
-    "thermal_energy_J",
-    "sigma_V",
-    "e1_J",
-    "e1_kT",
-    "cycle_J",
-    "cycle_kT",
-    "epsilon_inst",
-    "multi_sample_epsilon",
-    "floor_short_kT",
-    "floor_short_J",
-    "floor_long_kT",
-    "floor_long_J",
-    "required_U1_V",
-    "required_E1_kT",
-    "tank_efficiency",
-    "break_even_kT",
-    "break_even_J",
-)
-
 DEFAULT_SEED = 12345
 
 # Rows are derived and held in memory before anything is written.
@@ -77,8 +57,9 @@ class SweepSpec:
     """Validated description of one sweep.
 
     ``variable`` is one of PARAMETERS; ``fixed`` maps other parameter names
-    (plus optionally ``n_switches``) to values.  ``e_switch`` is denominated
-    in kT — it is a technology figure, not a bath-dependent joule count.
+    (plus optionally ``n_switches``) to finite values.  ``e_switch`` is
+    denominated in kT — it is a technology figure, not a bath-dependent joule
+    count.
     """
 
     variable: str
@@ -142,6 +123,10 @@ class SweepSpec:
             elif not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise SweepConfigError(
                     f"field 'fixed': {key!r} must be a number, got {value!r}"
+                )
+            elif isinstance(value, float) and not math.isfinite(value):
+                raise SweepConfigError(
+                    f"field 'fixed': {key!r} must be finite, got {value!r}"
                 )
         if not self.output_path:
             raise SweepConfigError("field 'output': must be a non-empty path")
@@ -212,34 +197,37 @@ def load_config(path) -> SweepSpec:
     return SweepSpec.from_config(config)
 
 
-def _derived_row(params: dict) -> dict:
-    """All derived quantities that the given parameters determine."""
-    out: dict[str, float] = {}
-    temperature = params.get("T", ROOM_TEMPERATURE)
-    env = PhysicalEnvironment(temperature=temperature)
-    kt = env.thermal_energy()
-    out["thermal_energy_J"] = kt
+# Each group derives its cells from the parameters it reads and from cells of
+# the groups before it; every group reads T through the shared environment.
+def _thermal(params: dict, env: PhysicalEnvironment, row: dict) -> None:
+    row["thermal_energy_J"] = env.thermal_energy()
 
+
+def _sigma(params: dict, env: PhysicalEnvironment, row: dict) -> None:
     cap = params.get("C")
-    swing = params.get("U1")
-    sigma = None
     if cap is not None:
         if not cap > 0.0:
             raise ValueError(f"swept/fixed C must be > 0 F, got {cap!r}")
-        sigma = math.sqrt(kt / cap)
-        out["sigma_V"] = sigma
+        row["sigma_V"] = math.sqrt(row["thermal_energy_J"] / cap)
 
+
+def _charge(params: dict, env: PhysicalEnvironment, row: dict) -> None:
+    cap = params.get("C")
+    swing = params.get("U1")
     if cap is not None and swing is not None:
         # C*U1**2/2 does not depend on R; RcStage refuses a negative swing.
         e1 = RcStage(
             capacitance=cap, resistance=1.0, swing_voltage=swing, env=env
         ).charge_energy()
-        out["e1_J"] = e1
-        out["e1_kT"] = env.joules_to_kt(e1)
-        out["cycle_J"] = e1 + e1
-        out["cycle_kT"] = env.joules_to_kt(e1 + e1)
-        out["epsilon_inst"] = float(tail_probability((0.5 * swing) / sigma))
+        row["e1_J"] = e1
+        row["e1_kT"] = env.joules_to_kt(e1)
+        row["cycle_J"] = e1 + e1
+        row["cycle_kT"] = env.joules_to_kt(e1 + e1)
+        sigma = row["sigma_V"]
+        row["epsilon_inst"] = float(tail_probability((0.5 * swing) / sigma))
 
+
+def _floors(params: dict, env: PhysicalEnvironment, row: dict) -> None:
     epsilon = params.get("epsilon")
     t_obs = params.get("t_o")
     tau = params.get("tau")
@@ -250,27 +238,32 @@ def _derived_row(params: dict) -> dict:
             correlation_time=tau,
         )
         short = floor_short(spec, env)
-        out["floor_short_kT"] = short.floor_kt
-        out["floor_short_J"] = short.floor_joule
+        row["floor_short_kT"] = short.floor_kt
+        row["floor_short_J"] = short.floor_joule
         if t_obs is not None and tau is not None:
             long_floor = floor_long(spec, env)
-            out["floor_long_kT"] = long_floor.floor_kt
-            out["floor_long_J"] = long_floor.floor_joule
-            out["multi_sample_epsilon"] = multi_sample_error(
+            row["floor_long_kT"] = long_floor.floor_kt
+            row["floor_long_J"] = long_floor.floor_joule
+            row["multi_sample_epsilon"] = multi_sample_error(
                 epsilon, observation_count(t_obs, tau)
             )
-        if cap is not None:
-            stage = RcStage(
-                capacitance=cap, resistance=1.0, swing_voltage=0.0, env=env
-            )
-            need = required_swing(epsilon, stage)
-            out["required_U1_V"] = need.swing_voltage
-            out["required_E1_kT"] = need.energy_kt
 
+
+def _required_swing(params: dict, env: PhysicalEnvironment, row: dict) -> None:
+    epsilon = params.get("epsilon")
+    cap = params.get("C")
+    if epsilon is not None and cap is not None:
+        stage = RcStage(capacitance=cap, resistance=1.0, swing_voltage=0.0, env=env)
+        need = required_swing(epsilon, stage)
+        row["required_U1_V"] = need.swing_voltage
+        row["required_E1_kT"] = need.energy_kt
+
+
+def _tank(params: dict, env: PhysicalEnvironment, row: dict) -> None:
     quality = params.get("q")
     if quality is not None:
         eta = symmetric_tank_efficiency(quality)
-        out["tank_efficiency"] = eta
+        row["tank_efficiency"] = eta
         e_switch_kt = params.get("e_switch")
         if e_switch_kt is not None:
             if not e_switch_kt >= 0.0:
@@ -283,24 +276,54 @@ def _derived_row(params: dict) -> dict:
                     f"fixed n_switches must be >= 2, got {n_switches!r}"
                 )
             break_even_kt = n_switches * e_switch_kt / eta
-            out["break_even_kT"] = break_even_kt
-            out["break_even_J"] = env.kt_to_joules(break_even_kt)
-    return out
+            row["break_even_kT"] = break_even_kt
+            row["break_even_J"] = env.kt_to_joules(break_even_kt)
+
+
+# (parameters read, derivation, cells written), in derivation order.  A row
+# differs from the row before only in the swept parameter and in the cells
+# of the groups that read it, so only those groups run again.
+_GROUPS = (
+    ({"T"}, _thermal, ("thermal_energy_J",)),
+    ({"T", "C"}, _sigma, ("sigma_V",)),
+    ({"T", "C", "U1"}, _charge, (
+        "e1_J", "e1_kT", "cycle_J", "cycle_kT", "epsilon_inst",
+    )),
+    ({"T", "epsilon", "t_o", "tau"}, _floors, (
+        "multi_sample_epsilon", "floor_short_kT", "floor_short_J",
+        "floor_long_kT", "floor_long_J",
+    )),
+    ({"T", "epsilon", "C"}, _required_swing, ("required_U1_V", "required_E1_kT")),
+    ({"T", "q", "e_switch", "n_switches"}, _tank, (
+        "tank_efficiency", "break_even_kT", "break_even_J",
+    )),
+)
+
+# Every CSV column: the parameters, then each group's cells.
+COLUMNS = PARAMETERS + tuple(cell for _, _, cells in _GROUPS for cell in cells)
 
 
 def compute_rows(spec: SweepSpec) -> list[dict]:
     """Evaluate the whole grid; raises before anything is written.
 
     Every row carries the full COLUMNS schema; quantities the given
-    parameters do not determine are None.
+    parameters do not determine are None.  Row 0 derives every cell; each
+    later row copies the one before and re-derives only the cells that read
+    the swept variable.
     """
+    params = dict(spec.fixed)
+    row = dict.fromkeys(COLUMNS)
+    row.update((name, params.get(name)) for name in PARAMETERS)
     rows = []
-    for value in spec.grid():
-        params = dict(spec.fixed)
-        params[spec.variable] = float(value)
-        row = dict.fromkeys(COLUMNS)
-        row.update((name, params.get(name)) for name in PARAMETERS)
-        row.update(_derived_row(params))
+    for value in spec.grid().tolist():
+        params[spec.variable] = value
+        if not rows or spec.variable == "T":
+            env = PhysicalEnvironment(temperature=params.get("T", ROOM_TEMPERATURE))
+        row = dict(row)
+        row[spec.variable] = value
+        for reads, derive, _ in _GROUPS:
+            if not rows or spec.variable in reads:
+                derive(params, env, row)
         rows.append(row)
     return rows
 
@@ -316,8 +339,17 @@ def run_sweep(spec: SweepSpec) -> tuple[Path, Path]:
     csv_path = Path(spec.output_path)
     manifest_path = csv_path.with_suffix(".manifest.json")
 
+    # The writer renders the cells of the other columns once, from row 0.
+    # Which cells are empty depends only on which parameters are given, so a
+    # cell empty in row 0 is empty in every row.
+    may_vary = {spec.variable}.union(
+        *(cells for reads, _, cells in _GROUPS if spec.variable in reads)
+    )
+    first = rows[0]
+    varying = [n for n in COLUMNS if n in may_vary and first[n] is not None]
+    fixed = {name: first[name] for name in COLUMNS if name not in varying}
     write_numeric_csv(
-        csv_path, COLUMNS, ([row[name] for name in COLUMNS] for row in rows)
+        csv_path, COLUMNS, ([row[name] for name in varying] for row in rows), fixed
     )
 
     manifest = {

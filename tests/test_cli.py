@@ -1,6 +1,7 @@
 """CLI behavior: output contracts, exit codes, determinism, seeding."""
 
 import json
+import math
 
 import pytest
 
@@ -48,6 +49,13 @@ class TestFloorCommand:
         code, _, err = run_cli(capsys, "floor", "--epsilon", "0.7")
         assert code == 2
         assert "(0, 0.5)" in err
+
+    def test_infinite_observation_time_is_refused_by_name(self, capsys):
+        code, out, err = run_cli(
+            capsys, "floor", "--epsilon", "1e-30", "--t-obs", "inf", "--tau", "1e-10"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: observation_time must be finite, got inf\n"
 
     def test_half_specified_long_floor_rejected(self, capsys):
         code, _, err = run_cli(capsys, "floor", "--epsilon", "1e-9", "--tau", "1e-9")
@@ -127,6 +135,17 @@ class TestCycleCommand:
             "error: swing 1e+300 V on C=1e-15 F overflows the charge energy "
             "C*U1**2/2\n"
         )
+
+    @pytest.mark.parametrize(
+        "option",
+        ["--friction-per-transition", "--friction-kt", "--claimed", "--claimed-kt"],
+    )
+    def test_infinite_energy_is_refused_by_name(self, capsys, option):
+        code, out, err = run_cli(
+            capsys, "cycle", "--cap", "1e-15", "--swing", "0.5", option, "inf"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {option} must be finite, got inf\n"
 
     def test_infinite_temperature_is_domain_error(self, capsys):
         code, out, err = run_cli(
@@ -212,6 +231,15 @@ class TestMcCommand:
             "the Monte Carlo limit of 4194303\n"
         )
 
+    @pytest.mark.parametrize("window", ["inf", "nan"])
+    def test_non_finite_window_is_refused_by_name(self, capsys, window):
+        code, out, err = run_cli(
+            capsys, "mc", "--cap", "1e-15", "--res", "1e5",
+            "--threshold-sigma", "3", "--t-obs", window, "--trials", "10",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: observation_time must be finite, got {window}\n"
+
     def test_window_shorter_than_tau_is_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "mc", "--cap", "1e-15", "--res", "1e6",
@@ -248,6 +276,11 @@ class TestTankCommand:
         assert payload["break_even"]["break_even_kT"] == pytest.approx(
             144.4608795624, rel=1e-9
         )
+
+    def test_infinite_switch_energy_is_refused_by_name(self, capsys):
+        code, out, err = run_cli(capsys, *self.Q100, "--e-switch-kt", "inf")
+        assert (code, out) == (2, "")
+        assert err == "error: --e-switch-kt must be finite, got inf\n"
 
     def test_overdamped_is_domain_error(self, capsys):
         code, _, err = run_cli(
@@ -357,6 +390,11 @@ class TestSweepCommand:
             ({"C": 1e-15, "U1": "abc"}, "'U1'"),
             ({"C": 1e-15, "U1": 1e300}, "swing 1e+300 V"),
             ({"q": 50.0, "e_switch": 3.0, "n_switches": 2.7}, "'n_switches'"),
+            # json.dumps writes these as the Infinity and NaN that json.loads
+            # accepts.
+            ({"q": 50.0, "e_switch": math.inf}, "'e_switch' must be finite, got inf"),
+            ({"t_o": math.inf, "tau": 1e-9}, "'t_o' must be finite, got inf"),
+            ({"C": math.nan}, "'C' must be finite, got nan"),
         ],
     )
     def test_bad_fixed_value_is_domain_error(self, capsys, tmp_path, fixed, named):

@@ -7,6 +7,7 @@ were cross-validated with a direct 2e6-trial simulation.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -98,6 +99,11 @@ class TestErrorSpec:
             ErrorSpec(epsilon=0.1, observation_time=-1.0)
         with pytest.raises(ValueError):
             ErrorSpec(epsilon=0.1, correlation_time=0.0)
+
+    def test_infinite_observation_time_is_refused_by_name(self):
+        message = "^observation_time must be finite, got inf$"
+        with pytest.raises(ValueError, match=message):
+            ErrorSpec(epsilon=0.1, observation_time=math.inf, correlation_time=1e-9)
 
 
 class TestFloorShort:
@@ -278,6 +284,12 @@ class TestObservationCount:
         with pytest.raises(ValueError):
             observation_count(0.999e-9, 1e-9)
 
+    @pytest.mark.parametrize("window", [math.inf, math.nan])
+    def test_non_finite_window_is_refused_by_name(self, window):
+        message = f"^observation_time must be finite, got {window!r}$"
+        with pytest.raises(ValueError, match=message):
+            observation_count(window, 1e-9)
+
 
 class TestFirstPassageMc:
     def test_oracle_reference_values_regenerate(self):
@@ -371,6 +383,34 @@ class TestFirstPassageMc:
         pooled = first_passage_mc(make_stage(), trials=1000, workers=2, **kwargs)
         serial = first_passage_mc(make_stage(), trials=1000, workers=1, **kwargs)
         assert pooled == serial
+
+    def test_thread_pool_is_bounded_by_chunks_and_cores(self, monkeypatch):
+        # The recording pool runs its jobs inline, so even a pool sized from
+        # workers=10**6 starts no thread.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(floors, "_MC_CHUNK_BYTES", 100 * 11 * 8)  # 82 chunks
+        monkeypatch.setattr(floors, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        result = first_passage_mc(
+            make_stage(res=1e5), 3.0 * SIGMA_1FF_300K, 1e-9, trials=8192,
+            seed=12345, workers=10**6,
+        )
+        assert result.hits == 97
+        assert sizes == [2]
 
     def test_trials_consume_per_path_streams(self):
         # Trial i of the Monte Carlo must see exactly the path that

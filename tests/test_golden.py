@@ -4,7 +4,7 @@ The digests were taken from the per-cell ``csv.writer`` implementation
 (CRLF line ends, ``%.8e`` per number, an empty cell for a missing value), so
 a writer change that alters any byte fails here.  The inputs cover a sweep
 with every cell filled, a sweep with empty cells, an RK4 waveform and a
-sampled noise path.
+sampled noise path, plus a sweep over each parameter on each scale it allows.
 """
 
 import hashlib
@@ -64,6 +64,74 @@ DIGESTS = {
 }
 
 
+# Every parameter fixed but the swept one, so every cell is filled.
+ALL_FIXED = {
+    "U1": 0.42, "C": 1e-15, "T": 300.0, "epsilon": 1e-18, "t_o": 3.0e-3,
+    "tau": 1e-10, "q": 87.5, "e_switch": 12.25, "n_switches": 3,
+}
+
+
+def sweep_config(variable, scale, start, stop, points, fixed=None):
+    if fixed is None:
+        fixed = {key: value for key, value in ALL_FIXED.items() if key != variable}
+    return {
+        "variable": variable, "scale": scale, "start": start, "stop": stop,
+        "points": points, "fixed": fixed,
+    }
+
+
+# One sweep per parameter and scale.  The sparse ones leave groups of cells
+# empty for a swept variable other than q; -0.0 is a fixed value that prints
+# differently from 0.0.
+VARIABLE_SWEEPS = {
+    "U1-linear": sweep_config("U1", "linear", 0.0, 1.2, 7),
+    "U1-log": sweep_config("U1", "log", 1e-3, 2.0, 9, {"C": 2e-15, "T": 77.0}),
+    "C-linear": sweep_config(
+        "C", "linear", 1e-16, 5e-15, 6, {"U1": 0.3, "epsilon": 1e-12}
+    ),
+    "T-linear": sweep_config("T", "linear", 4.2, 400.0, 8),
+    "T-log": sweep_config(
+        "T", "log", 1.0, 1e4, 9, {"epsilon": 1e-9, "t_o": 1.0, "tau": 1e-9}
+    ),
+    "epsilon-linear": sweep_config("epsilon", "linear", 1e-6, 0.45, 10),
+    "epsilon-log": sweep_config("epsilon", "log", 1e-40, 0.4, 9, {"C": 1e-15}),
+    "t_o-linear": sweep_config("t_o", "linear", 1e-10, 1e-3, 7),
+    "t_o-log": sweep_config(
+        "t_o", "log", 1e-10, 3.156e7, 9, {"epsilon": 1e-30, "tau": 1e-10}
+    ),
+    "tau-linear": sweep_config("tau", "linear", 1e-12, 3e-3, 7),
+    "tau-log": sweep_config(
+        "tau", "log", 1e-15, 1e-3, 9, {"epsilon": 1e-6, "t_o": 1e-3, "C": 5e-16}
+    ),
+    "q-log": sweep_config("q", "log", 0.6, 1e4, 9),
+    "e_switch-linear": sweep_config(
+        "e_switch", "linear", 0.0, 100.0, 5, {"q": 12.0, "T": 4.2, "n_switches": 4}
+    ),
+    "e_switch-log": sweep_config("e_switch", "log", 0.1, 1e3, 7),
+    "e_switch-without-q": sweep_config(
+        "e_switch", "linear", 0.5, 2.0, 4, {"U1": -0.0, "C": 1e-15}
+    ),
+}
+
+VARIABLE_SWEEP_DIGESTS = {
+    "C-linear": "b92b39560b3f0a10781219bdf798beffaef4f329f4e7d354aaf02e1f4d26b222",
+    "T-linear": "aced2691a1cf568c8b4a6ea28936249e34c86057383d60bbaacae2a2a862f7e2",
+    "T-log": "28eaf2c1dc58a69cf968ac740e095b76461f15ff445a4bfddb069c0edd9e1303",
+    "U1-linear": "b8526fbe67c370b2cb58e4372d424a054b3e66895be97d1c51ed24ccc91612b1",
+    "U1-log": "29148fd4fcac6e40a645e262c450239edd0be9cf895bdf20b00e5b52601bfebc",
+    "e_switch-linear": "9ad23bf828288210fc877fd8b9eb26a09d1a6f43815cf67bebb59503a5bc2650",
+    "e_switch-log": "4ef388573cf67f7466508b0cbb80bf3948ac276defb5a705821135eea5e50718",
+    "e_switch-without-q": "7d659e3d1e2de8e5b8d5a1bd66a4265c4704837dd2fc6aed7136a2b4b4e95675",
+    "epsilon-linear": "e82fe841dd9a9799659c19909deab59c90f79a0eac8c138a3fd552bfb0674c15",
+    "epsilon-log": "b9385a9e9f9e59f5df805281a25e1d5eea8e62dfa1955edbe02280505dcca62f",
+    "q-log": "e1e4fa92e43573f8234f1730962927de28e49c76b0e512c7ca26899626ee25d1",
+    "t_o-linear": "735aaba142335a7b8bf7d3d5226dd34927fed1422ef5134b534281d05ef227dc",
+    "t_o-log": "bd007d9eefac779a6aafd62a9bd89273182c00a7a54907d4cf0b0f79d4e5bf7e",
+    "tau-linear": "20a3049db962f702d03e912bf98c0ac287034f83755c6ba93a299f58d8126b86",
+    "tau-log": "75a5ba1ee336dd1c327408689705ba19ad76b08b702ddc6b1e0388da6c3d32e5",
+}
+
+
 def write_golden_files(directory):
     """Run the CLI once per golden input; returns {file name: bytes}."""
     for name, config in (("full", FULL_SWEEP), ("sparse", SPARSE_SWEEP)):
@@ -84,3 +152,13 @@ def golden_files(tmp_path_factory):
 def test_file_bytes_match_golden_digest(golden_files, name):
     assert hashlib.sha256(golden_files[name]).hexdigest() == DIGESTS[name]
 
+
+
+@pytest.mark.parametrize("name", sorted(VARIABLE_SWEEPS))
+def test_variable_sweep_bytes_match_golden_digest(tmp_path, name):
+    path = tmp_path / "sweep.json"
+    config = dict(VARIABLE_SWEEPS[name], output=str(tmp_path / "out.csv"))
+    path.write_text(json.dumps(config))
+    assert main(["sweep", str(path)]) == 0
+    digest = hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest()
+    assert digest == VARIABLE_SWEEP_DIGESTS[name]

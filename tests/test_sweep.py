@@ -6,8 +6,9 @@ import math
 
 import pytest
 
-from ktfloor import SweepConfigError, SweepSpec, run_sweep
-from ktfloor.sweep import COLUMNS, MAX_POINTS, compute_rows
+from ktfloor import PhysicalEnvironment, SweepConfigError, SweepSpec, run_sweep
+from ktfloor.sweep import _GROUPS, COLUMNS, MAX_POINTS, PARAMETERS, compute_rows
+from test_golden import VARIABLE_SWEEPS
 
 
 def base_config(tmp_path, **overrides):
@@ -212,6 +213,54 @@ class TestDerivedColumns:
         with pytest.raises(ValueError):
             run_sweep(spec)
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestRowInvariantCells:
+    @pytest.mark.parametrize("name", sorted(VARIABLE_SWEEPS))
+    def test_rows_match_a_full_derivation_of_every_row(self, tmp_path, name):
+        # compute_rows derives row 0 in full and then only the groups that
+        # read the swept variable; deriving every group for every row must
+        # give the same rows.
+        spec = SweepSpec.from_config(
+            dict(VARIABLE_SWEEPS[name], output=str(tmp_path / "out.csv"))
+        )
+        expected = []
+        for value in spec.grid().tolist():
+            params = dict(spec.fixed, **{spec.variable: value})
+            row = dict.fromkeys(COLUMNS)
+            row.update((key, params.get(key)) for key in PARAMETERS)
+            env = PhysicalEnvironment(temperature=params.get("T", 300.0))
+            for _, derive, _ in _GROUPS:
+                derive(params, env, row)
+            expected.append(row)
+        assert compute_rows(spec) == expected
+
+    @pytest.mark.parametrize(
+        "variable, scale, start, stop, points, fixed, message",
+        [
+            # Row 0 fails.
+            ("C", "log", 1e-16, 1e-14, 7, {"U1": -0.5},
+             "swing_voltage must be >= 0 V, got -0.5"),
+            # Row 4 reaches epsilon = 0.5.
+            ("epsilon", "linear", 0.1, 0.6, 6, {},
+             "epsilon must lie in the open interval (0, 0.5), got 0.5"),
+            # The last row's tau passes t_o.
+            ("tau", "log", 1e-10, 1e-2, 9, {"epsilon": 1e-9, "t_o": 1e-3},
+             "observation_time must be >= correlation_time for the long floor "
+             "(got t_o=0.001, tau=0.01)"),
+        ],
+    )
+    def test_failing_row_raises_its_message_and_writes_nothing(
+        self, tmp_path, variable, scale, start, stop, points, fixed, message
+    ):
+        spec = SweepSpec.from_config(base_config(
+            tmp_path, variable=variable, scale=scale, start=start, stop=stop,
+            points=points, fixed=fixed,
+        ))
+        with pytest.raises(ValueError) as info:
+            run_sweep(spec)
+        assert str(info.value) == message
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOutputFiles:

@@ -54,12 +54,30 @@ def _refuse_infinite(args, *names: str) -> None:
             raise ValueError(f"{option} must be finite, got {value!r}")
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _report(args, payload: dict, text: tuple, **extra) -> None:
+    """Print a command's payload as JSON with --json, else as its text lines.
+
+    ``text`` holds (field, template) pairs.  Each template is formatted with
+    the payload's fields plus ``extra`` (values shown only as text); a line
+    whose field names a None or False value is skipped.
+    """
+    if args.json:
+        print(json.dumps(payload, indent=2))
+        return
+    values = {**payload, **extra}
+    for field, template in text:
+        if field is None or values[field] is not None and values[field] is not False:
+            print(template.format_map(values))
 
 
-def _kt(value: float) -> str:
-    return "%.3f" % value
+_FLOOR_TEXT = (
+    (None, "temperature       {temperature_K:.8e} K"),
+    (None, "thermal energy    {thermal_energy_J:.8e} J"),
+    (None, "epsilon           {epsilon:.8e}"),
+    (None, "floor (short)     {short[floor_kT]:.2f} kT = {short[floor_J]:.8e} J"),
+    ("long", "floor (long)      {long[floor_kT]:.2f} kT = {long[floor_J]:.8e} J  "
+     "[t_obs={long[t_obs_s]:.8e} s, tau={long[tau_s]:.8e} s]"),
+)
 
 
 def cmd_floor(args) -> int:
@@ -73,42 +91,50 @@ def cmd_floor(args) -> int:
     )
     short = floor_short(spec, env)
     long_result = floor_long(spec, env) if args.tau is not None else None
-
-    if args.json:
-        payload = {
-            "command": "floor",
-            "temperature_K": args.temp,
-            "thermal_energy_J": env.thermal_energy(),
-            "epsilon": args.epsilon,
-            "short": {
-                "floor_kT": short.floor_kt,
-                "floor_J": short.floor_joule,
-                "regime": short.regime,
-            },
-            "long": None
-            if long_result is None
-            else {
-                "floor_kT": long_result.floor_kt,
-                "floor_J": long_result.floor_joule,
-                "regime": long_result.regime,
-                "t_obs_s": args.t_obs,
-                "tau_s": args.tau,
-            },
-        }
-        _print_json(payload)
-        return 0
-
-    print(f"temperature       {args.temp:.8e} K")
-    print(f"thermal energy    {env.thermal_energy():.8e} J")
-    print(f"epsilon           {args.epsilon:.8e}")
-    print(f"floor (short)     {short.floor_kt:.2f} kT = {short.floor_joule:.8e} J")
-    if long_result is not None:
-        print(
-            f"floor (long)      {long_result.floor_kt:.2f} kT = "
-            f"{long_result.floor_joule:.8e} J  "
-            f"[t_obs={args.t_obs:.8e} s, tau={args.tau:.8e} s]"
-        )
+    payload = {
+        "command": "floor",
+        "temperature_K": args.temp,
+        "thermal_energy_J": env.thermal_energy(),
+        "epsilon": args.epsilon,
+        "short": {
+            "floor_kT": short.floor_kt,
+            "floor_J": short.floor_joule,
+            "regime": short.regime,
+        },
+        "long": None
+        if long_result is None
+        else {
+            "floor_kT": long_result.floor_kt,
+            "floor_J": long_result.floor_joule,
+            "regime": long_result.regime,
+            "t_obs_s": args.t_obs,
+            "tau_s": args.tau,
+        },
+    }
+    _report(args, payload, _FLOOR_TEXT)
     return 0
+
+
+_CYCLE_TEXT = (
+    (None, "gate              C={capacitance_F:.8e} F  R={resistance_ohm:.8e} ohm  "
+     "U1={swing_V:.8e} V  T={temperature_K:.8e} K"),
+    (None, "noise sigma       {sigma_V:.8e} V"),
+    (None, "threshold         {threshold_V:.8e} V  "
+     "({threshold_fraction:.2f} of swing)"),
+    (None, "epsilon per obs   {epsilon_per_observation:.8e}"),
+    (None, "accounting        {accounting_label}"),
+    (None, "  input charging  {e_input_J:.8e} J = {e_input_kT:.3f} kT"),
+    (None, "  switch friction {e_friction_J:.8e} J = {e_friction_kT:.3f} kT"),
+    (None, "  total           {e_total_J:.8e} J = {e_total_kT:.3f} kT"),
+    ("floor_short_kT", "floor (short)     {floor_short_kT:.2f} kT = "
+     "{floor_short_J:.8e} J"),
+    ("no_floor", "floor (short)     not applicable (epsilon = 0.5)"),
+    (None, "verdict (friction only)  {verdict_friction_only}"),
+    (None, "verdict (total)          {verdict_total}"),
+    ("claim_verdict", "claimed per op    {claimed_per_op_J:.8e} J = "
+     "{claimed_kT:.3f} kT"),
+    ("claim_verdict", "claim verdict     {claim_verdict}"),
+)
 
 
 def cmd_cycle(args) -> int:
@@ -139,74 +165,57 @@ def cmd_cycle(args) -> int:
 
     per_op = args.accounting == "op"
     scale = 0.5 if per_op else 1.0
-
-    if args.json:
-        payload = {
-            "command": "cycle",
-            "capacitance_F": args.cap,
-            "resistance_ohm": args.res,
-            "swing_V": args.swing,
-            "temperature_K": args.temp,
-            "threshold_fraction": args.threshold_fraction,
-            "friction_per_transition_J": friction,
-            "accounting": args.accounting,
-            "epsilon_per_observation": report.epsilon_per_observation,
-            "e_input_J": scale * report.e_input_cycle,
-            "e_input_kT": scale * report.e_input_cycle_kt,
-            "e_friction_J": scale * report.e_friction_cycle,
-            "e_friction_kT": scale * report.e_friction_cycle_kt,
-            "e_total_J": scale * report.e_total_cycle,
-            "e_total_kT": scale * report.e_total_cycle_kt,
-            "floor_short_kT": report.floor_short_kt,
-            "floor_short_J": report.floor_short_joule,
-            "verdict_friction_only": report.verdict_friction_only,
-            "verdict_total": report.verdict_total,
-            "claimed_per_op_J": claimed,
-            "claim_verdict": claim_verdict,
-        }
-        _print_json(payload)
-    else:
-        sigma = (env.thermal_energy() / args.cap) ** 0.5
-        label = "per operation (half cycle)" if per_op else "per cycle (one 0->1->0)"
-        print(
-            f"gate              C={args.cap:.8e} F  R={args.res:.8e} ohm  "
-            f"U1={args.swing:.8e} V  T={args.temp:.8e} K"
-        )
-        print(f"noise sigma       {sigma:.8e} V")
-        print(
-            f"threshold         {args.threshold_fraction * args.swing:.8e} V  "
-            f"({args.threshold_fraction:.2f} of swing)"
-        )
-        print(f"epsilon per obs   {report.epsilon_per_observation:.8e}")
-        print(f"accounting        {label}")
-        print(
-            f"  input charging  {scale * report.e_input_cycle:.8e} J = "
-            f"{_kt(scale * report.e_input_cycle_kt)} kT"
-        )
-        print(
-            f"  switch friction {scale * report.e_friction_cycle:.8e} J = "
-            f"{_kt(scale * report.e_friction_cycle_kt)} kT"
-        )
-        print(
-            f"  total           {scale * report.e_total_cycle:.8e} J = "
-            f"{_kt(scale * report.e_total_cycle_kt)} kT"
-        )
-        if report.floor_short_kt is None:
-            print("floor (short)     not applicable (epsilon = 0.5)")
-        else:
-            print(
-                f"floor (short)     {report.floor_short_kt:.2f} kT = "
-                f"{report.floor_short_joule:.8e} J"
-            )
-        print(f"verdict (friction only)  {report.verdict_friction_only}")
-        print(f"verdict (total)          {report.verdict_total}")
-        if claim_verdict is not None:
-            print(f"claimed per op    {claimed:.8e} J = {_kt(env.joules_to_kt(claimed))} kT")
-            print(f"claim verdict     {claim_verdict}")
-
+    payload = {
+        "command": "cycle",
+        "capacitance_F": args.cap,
+        "resistance_ohm": args.res,
+        "swing_V": args.swing,
+        "temperature_K": args.temp,
+        "threshold_fraction": args.threshold_fraction,
+        "friction_per_transition_J": friction,
+        "accounting": args.accounting,
+        "epsilon_per_observation": report.epsilon_per_observation,
+        "e_input_J": scale * report.e_input_cycle,
+        "e_input_kT": scale * report.e_input_cycle_kt,
+        "e_friction_J": scale * report.e_friction_cycle,
+        "e_friction_kT": scale * report.e_friction_cycle_kt,
+        "e_total_J": scale * report.e_total_cycle,
+        "e_total_kT": scale * report.e_total_cycle_kt,
+        "floor_short_kT": report.floor_short_kt,
+        "floor_short_J": report.floor_short_joule,
+        "verdict_friction_only": report.verdict_friction_only,
+        "verdict_total": report.verdict_total,
+        "claimed_per_op_J": claimed,
+        "claim_verdict": claim_verdict,
+    }
+    _report(
+        args, payload, _CYCLE_TEXT,
+        sigma_V=(env.thermal_energy() / args.cap) ** 0.5,
+        threshold_V=args.threshold_fraction * args.swing,
+        accounting_label="per operation (half cycle)" if per_op
+        else "per cycle (one 0->1->0)",
+        no_floor=report.floor_short_kt is None,
+        claimed_kT=None if claimed is None else env.joules_to_kt(claimed),
+    )
     if args.strict and claim_verdict == CLAIM_NEGLECTS:
         return 3
     return 0
+
+
+_MC_TEXT = (
+    (None, "sigma             {sigma_V:.8e} V"),
+    (None, "tau               {tau_s:.8e} s"),
+    (None, "threshold         {threshold_V:.8e} V  ({threshold_sigma:.2f} sigma)"),
+    (None, "observations      {n_observations}  "
+     "(one per tau over {observation_time_s:.8e} s)"),
+    (None, "trials            {trials}  seed {seed}  workers {workers}"),
+    (None, "hits              {hits}"),
+    (None, "epsilon_hat       {epsilon_hat:.8e}"),
+    (None, "std_err           {std_err:.8e}"),
+    (None, "analytic (independent samples)  {analytic_epsilon:.8e}"),
+    (None, "low confidence    {low_confidence_flag}"),
+    ("low_confidence", "warning: expected hit count below 10; estimate is unreliable"),
+)
 
 
 def cmd_mc(args) -> int:
@@ -234,49 +243,49 @@ def cmd_mc(args) -> int:
             path_index=0,
         )
         path.write_csv(args.dump_path)
-
-    if args.json:
-        payload = {
-            "command": "mc",
-            "capacitance_F": args.cap,
-            "resistance_ohm": args.res,
-            "temperature_K": args.temp,
-            "sigma_V": process.stationary_sigma,
-            "tau_s": process.correlation_time,
-            "threshold_sigma": args.threshold_sigma,
-            "threshold_V": threshold,
-            "observation_time_s": args.t_obs,
-            "n_observations": result.n_observations,
-            "trials": result.trials,
-            "seed": seed,
-            "workers": args.workers,
-            "hits": result.hits,
-            "epsilon_hat": result.epsilon_hat,
-            "std_err": result.std_err,
-            "analytic_epsilon": result.analytic_epsilon,
-            "low_confidence": result.low_confidence,
-        }
-        _print_json(payload)
-        return 0
-
-    print(f"sigma             {process.stationary_sigma:.8e} V")
-    print(f"tau               {process.correlation_time:.8e} s")
-    print(
-        f"threshold         {threshold:.8e} V  ({args.threshold_sigma:.2f} sigma)"
+    payload = {
+        "command": "mc",
+        "capacitance_F": args.cap,
+        "resistance_ohm": args.res,
+        "temperature_K": args.temp,
+        "sigma_V": process.stationary_sigma,
+        "tau_s": process.correlation_time,
+        "threshold_sigma": args.threshold_sigma,
+        "threshold_V": threshold,
+        "observation_time_s": args.t_obs,
+        "n_observations": result.n_observations,
+        "trials": result.trials,
+        "seed": seed,
+        "workers": args.workers,
+        "hits": result.hits,
+        "epsilon_hat": result.epsilon_hat,
+        "std_err": result.std_err,
+        "analytic_epsilon": result.analytic_epsilon,
+        "low_confidence": result.low_confidence,
+    }
+    _report(
+        args, payload, _MC_TEXT,
+        low_confidence_flag="yes" if result.low_confidence else "no",
     )
-    print(
-        f"observations      {result.n_observations}  "
-        f"(one per tau over {args.t_obs:.8e} s)"
-    )
-    print(f"trials            {result.trials}  seed {seed}  workers {args.workers}")
-    print(f"hits              {result.hits}")
-    print(f"epsilon_hat       {result.epsilon_hat:.8e}")
-    print(f"std_err           {result.std_err:.8e}")
-    print(f"analytic (independent samples)  {result.analytic_epsilon:.8e}")
-    print(f"low confidence    {'yes' if result.low_confidence else 'no'}")
-    if result.low_confidence:
-        print("warning: expected hit count below 10; estimate is unreliable")
     return 0
+
+
+_TANK_TEXT = (
+    (None, "tank              L={inductance_H:.8e} H  C1={c1_F:.8e} F  "
+     "C2={c2_F:.8e} F  R={resistance_ohm:.8e} ohm  V0={v0_V:.8e} V"),
+    (None, "quality factors   q1={quality_factors[0]:.2f}  "
+     "q2={quality_factors[1]:.2f}"),
+    (None, "schedule          t1={schedule_s[0]:.8e} s  t2={schedule_s[1]:.8e} s"),
+    (None, "energy initial    {energy_initial_J:.8e} J"),
+    (None, "energy delivered  {closed_form[energy_delivered_J]:.8e} J"),
+    (None, "efficiency        {closed_form[efficiency]:.8f}"),
+    ("rk4", "rk4 efficiency    {rk4[efficiency]:.8f}  (relative gap {rk4_gap:+.1e})"),
+    ("break_even", "switch control    {break_even[n_switches]} x "
+     "{break_even[e_switch_kT]:.3f} kT = {overhead_J:.8e} J"),
+    ("break_even", "net saving        {break_even[net_saving_J]:.8e} J"),
+    ("break_even", "break-even energy {break_even[break_even_J]:.8e} J = "
+     "{break_even[break_even_kT]:.3f} kT"),
+)
 
 
 def cmd_tank(args) -> int:
@@ -290,87 +299,65 @@ def cmd_tank(args) -> int:
         initial_voltage=args.v0,
     )
     closed = tank.transfer_efficiency()
-    rk4 = None
+    rk4 = rk4_gap = None
     if args.simulate or args.dump_waveform is not None:
-        rk4 = tank.simulate_transfer(
-            dt=args.dt, record=args.dump_waveform is not None
-        )
+        if closed.efficiency == 0.0:
+            raise ValueError("closed-form efficiency is 0; the RK4 gap is undefined")
+        rk4 = tank.simulate_transfer(dt=args.dt, record=args.dump_waveform is not None)
         if args.dump_waveform is not None:
             write_numeric_csv(
                 args.dump_waveform,
                 ("t", "v_c1", "i_l", "v_c2", "e_loss"),
                 rk4.waveform.tolist(),
             )
+        rk4_gap = (rk4.efficiency - closed.efficiency) / closed.efficiency
 
-    breakeven = None
+    breakeven = overhead = None
     if args.e_switch_kt is not None:
         breakeven = tank.break_even(
             e_switch_control=env.kt_to_joules(args.e_switch_kt),
             n_switch_events=args.n_switches,
         )
-
-    q1, q2 = tank.quality_factors
-    if args.json:
-        payload = {
-            "command": "tank",
-            "inductance_H": args.inductance,
-            "c1_F": args.c1,
-            "c2_F": args.c2,
-            "resistance_ohm": args.resistance,
-            "v0_V": args.v0,
-            "temperature_K": args.temp,
-            "quality_factors": [q1, q2],
-            "schedule_s": [closed.phase1_duration, closed.phase2_duration],
-            "energy_initial_J": closed.energy_initial,
-            "closed_form": {
-                "energy_delivered_J": closed.energy_delivered,
-                "efficiency": closed.efficiency,
-            },
-            "rk4": None
-            if rk4 is None
-            else {
-                "energy_delivered_J": rk4.energy_delivered,
-                "efficiency": rk4.efficiency,
-            },
-            "break_even": None
-            if breakeven is None
-            else {
-                "e_switch_kT": args.e_switch_kt,
-                "n_switches": args.n_switches,
-                "net_saving_J": breakeven.net_saving,
-                "break_even_J": breakeven.break_even_energy,
-                "break_even_kT": env.joules_to_kt(breakeven.break_even_energy),
-            },
-        }
-        _print_json(payload)
-        return 0
-
-    print(
-        f"tank              L={args.inductance:.8e} H  C1={args.c1:.8e} F  "
-        f"C2={args.c2:.8e} F  R={args.resistance:.8e} ohm  V0={args.v0:.8e} V"
-    )
-    print(f"quality factors   q1={q1:.2f}  q2={q2:.2f}")
-    print(
-        f"schedule          t1={closed.phase1_duration:.8e} s  "
-        f"t2={closed.phase2_duration:.8e} s"
-    )
-    print(f"energy initial    {closed.energy_initial:.8e} J")
-    print(f"energy delivered  {closed.energy_delivered:.8e} J")
-    print(f"efficiency        {closed.efficiency:.8f}")
-    if rk4 is not None:
-        rel = (rk4.efficiency - closed.efficiency) / closed.efficiency
-        print(f"rk4 efficiency    {rk4.efficiency:.8f}  (relative gap {rel:+.1e})")
-    if breakeven is not None:
         overhead = args.n_switches * env.kt_to_joules(args.e_switch_kt)
-        print(
-            f"switch control    {args.n_switches} x {_kt(args.e_switch_kt)} kT "
-            f"= {overhead:.8e} J"
-        )
-        print(f"net saving        {breakeven.net_saving:.8e} J")
-        print(
-            f"break-even energy {breakeven.break_even_energy:.8e} J = "
-            f"{_kt(env.joules_to_kt(breakeven.break_even_energy))} kT"
-        )
+        break_even_kt = env.joules_to_kt(breakeven.break_even_energy)
+        if break_even_kt == math.inf:
+            raise ValueError(
+                f"--e-switch-kt {args.e_switch_kt!r} x --n-switches "
+                f"{args.n_switches} overflows the break-even energy in kT"
+            )
+
+    payload = {
+        "command": "tank",
+        "inductance_H": args.inductance,
+        "c1_F": args.c1,
+        "c2_F": args.c2,
+        "resistance_ohm": args.resistance,
+        "v0_V": args.v0,
+        "temperature_K": args.temp,
+        "quality_factors": list(tank.quality_factors),
+        "schedule_s": [closed.phase1_duration, closed.phase2_duration],
+        "energy_initial_J": closed.energy_initial,
+        "closed_form": {
+            "energy_delivered_J": closed.energy_delivered,
+            "efficiency": closed.efficiency,
+        },
+        "rk4": None
+        if rk4 is None
+        else {
+            "energy_delivered_J": rk4.energy_delivered,
+            "efficiency": rk4.efficiency,
+        },
+        "break_even": None
+        if breakeven is None
+        else {
+            "e_switch_kT": args.e_switch_kt,
+            "n_switches": args.n_switches,
+            "net_saving_J": breakeven.net_saving,
+            "break_even_J": breakeven.break_even_energy,
+            "break_even_kT": break_even_kt,
+        },
+    }
+    _report(args, payload, _TANK_TEXT, rk4_gap=rk4_gap, overhead_J=overhead)
     return 0
 
 
@@ -399,9 +386,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"ktfloor {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--temp", type=float, default=ROOM_TEMPERATURE, metavar="K",
+        help="bath temperature in kelvin (default 300)",
+    )
+    common.add_argument("--json", action="store_true", help="emit JSON")
 
     p_floor = sub.add_parser(
-        "floor", help="dissipation floors for a target error probability"
+        "floor", parents=[common],
+        help="dissipation floors for a target error probability",
     )
     p_floor.add_argument(
         "--epsilon", type=float, required=True, metavar="EPS",
@@ -415,15 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--tau", type=float, default=None, metavar="S",
         help="noise correlation time RC for the long floor (needs --t-obs)",
     )
-    p_floor.add_argument(
-        "--temp", type=float, default=ROOM_TEMPERATURE, metavar="K",
-        help="bath temperature in kelvin (default 300)",
-    )
-    p_floor.add_argument("--json", action="store_true", help="emit JSON")
     p_floor.set_defaults(handler=cmd_floor)
 
     p_cycle = sub.add_parser(
-        "cycle", help="full-cycle energy audit of a follower gate"
+        "cycle", parents=[common], help="full-cycle energy audit of a follower gate"
     )
     p_cycle.add_argument(
         "--cap", type=float, required=True, metavar="F",
@@ -436,10 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cycle.add_argument(
         "--res", type=float, default=1.0, metavar="OHM",
         help="switch on-resistance (does not change the cycle energies)",
-    )
-    p_cycle.add_argument(
-        "--temp", type=float, default=ROOM_TEMPERATURE, metavar="K",
-        help="bath temperature in kelvin (default 300)",
     )
     friction = p_cycle.add_mutually_exclusive_group()
     friction.add_argument(
@@ -471,11 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true",
         help="exit 3 if the claimed energy neglects input charging",
     )
-    p_cycle.add_argument("--json", action="store_true", help="emit JSON")
     p_cycle.set_defaults(handler=cmd_cycle)
 
     p_mc = sub.add_parser(
-        "mc", help="Monte Carlo first-passage error estimate"
+        "mc", parents=[common], help="Monte Carlo first-passage error estimate"
     )
     p_mc.add_argument(
         "--cap", type=float, required=True, metavar="F",
@@ -484,10 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument(
         "--res", type=float, required=True, metavar="OHM",
         help="node resistance in ohms (sets tau = RC)",
-    )
-    p_mc.add_argument(
-        "--temp", type=float, default=ROOM_TEMPERATURE, metavar="K",
-        help="bath temperature in kelvin (default 300)",
     )
     p_mc.add_argument(
         "--threshold-sigma", type=float, required=True, metavar="X",
@@ -513,11 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--dump-path", default=None, metavar="FILE",
         help="write one sampled noise path as CSV columns (t, V)",
     )
-    p_mc.add_argument("--json", action="store_true", help="emit JSON")
     p_mc.set_defaults(handler=cmd_mc)
 
     p_tank = sub.add_parser(
-        "tank", help="LC recycling transfer efficiency and break-even"
+        "tank", parents=[common], help="LC recycling transfer efficiency and break-even"
     )
     p_tank.add_argument(
         "--inductance", type=float, required=True, metavar="H",
@@ -538,10 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tank.add_argument(
         "--v0", type=float, required=True, metavar="V",
         help="initial voltage on C1",
-    )
-    p_tank.add_argument(
-        "--temp", type=float, default=ROOM_TEMPERATURE, metavar="K",
-        help="bath temperature for kT conversions (default 300)",
     )
     p_tank.add_argument(
         "--e-switch-kt", type=float, default=None, metavar="KT",
@@ -566,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dump-waveform", default=None, metavar="FILE",
         help="write the RK4 waveform as CSV (t, v_c1, i_l, v_c2, e_loss)",
     )
-    p_tank.add_argument("--json", action="store_true", help="emit JSON")
     p_tank.set_defaults(handler=cmd_tank)
 
     p_sweep = sub.add_parser(

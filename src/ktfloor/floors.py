@@ -137,16 +137,17 @@ def floor_long(spec: ErrorSpec, env: PhysicalEnvironment) -> FloorResult:
     tau/t_o, adding kT * ln(t_o/tau) to the single-shot floor.  Requires
     observation_time >= correlation_time.
     """
-    if spec.correlation_time is None:
+    t_o, tau = spec.observation_time, spec.correlation_time
+    if tau is None:
         raise ValueError("floor_long requires a correlation_time on the ErrorSpec")
-    if spec.observation_time < spec.correlation_time:
+    if t_o < tau:
         raise ValueError(
             "observation_time must be >= correlation_time for the long floor "
-            f"(got t_o={spec.observation_time!r}, tau={spec.correlation_time!r})"
+            f"(got t_o={t_o!r}, tau={tau!r})"
         )
-    floor_kt = -math.log(spec.epsilon) + math.log(
-        spec.observation_time / spec.correlation_time
-    )
+    if t_o / tau == math.inf:
+        raise ValueError(f"t_o/tau overflows for t_o={t_o!r} s, tau={tau!r} s")
+    floor_kt = -math.log(spec.epsilon) + math.log(t_o / tau)
     return FloorResult(
         floor_joule=env.kt_to_joules(floor_kt), floor_kt=floor_kt, regime="long"
     )
@@ -309,6 +310,8 @@ def first_passage_mc(
         raise ValueError("first_passage_mc needs a positive-temperature bath")
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be >= 0 V, got {threshold!r}")
+    if threshold == math.inf:
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if workers < 1:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .floors import (
     tail_probability,
 )
 from .quantities import ROOM_TEMPERATURE, PhysicalEnvironment
-from .tank import symmetric_tank_efficiency
+from .tank import break_even_energy, symmetric_tank_efficiency
 
 # Sweepable physical parameters, in canonical column order.
 PARAMETERS = ("U1", "C", "T", "epsilon", "t_o", "tau", "q", "e_switch")
@@ -128,6 +129,8 @@ class SweepSpec:
                 raise SweepConfigError(
                     f"field 'fixed': {key!r} must be finite, got {value!r}"
                 )
+            if isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise SweepConfigError(f"field 'fixed': {key!r} must fit in a float")
         if not self.output_path:
             raise SweepConfigError("field 'output': must be a non-empty path")
 
@@ -169,14 +172,20 @@ class SweepSpec:
             raise SweepConfigError("field 'scale': must be a string")
         if not isinstance(config["output"], str):
             raise SweepConfigError("field 'output': must be a string")
+        try:
+            start, stop = float(config["start"]), float(config["stop"])
+        except OverflowError:
+            raise SweepConfigError(
+                "fields 'start'/'stop': must be finite numbers"
+            ) from None
         fixed = config.get("fixed", {})
         if not isinstance(fixed, dict):
             raise SweepConfigError(f"field 'fixed': must be an object, got {fixed!r}")
         return cls(
             variable=config["variable"],
             scale=config["scale"],
-            start=float(config["start"]),
-            stop=float(config["stop"]),
+            start=start,
+            stop=stop,
             points=points,
             output_path=config["output"],
             fixed=dict(fixed),
@@ -275,7 +284,7 @@ def _tank(params: dict, env: PhysicalEnvironment, row: dict) -> None:
                 raise ValueError(
                     f"fixed n_switches must be >= 2, got {n_switches!r}"
                 )
-            break_even_kt = n_switches * e_switch_kt / eta
+            break_even_kt = break_even_energy(n_switches * e_switch_kt, eta)
             row["break_even_kT"] = break_even_kt
             row["break_even_J"] = env.kt_to_joules(break_even_kt)
 

@@ -25,19 +25,27 @@ def symmetric_tank_efficiency(quality_factor: float) -> float:
     """Closed-form transfer efficiency of a symmetric (C1 = C2) tank.
 
     With both phases at quality factor q the delivered fraction depends on q
-    alone: exp(-pi / (q*sqrt(1 - 1/(4q**2)))) / (1 - 1/(4q**2))**2.
-    Approaches exp(-pi/q) for large q; requires q > 0.5 (underdamped).
+    alone, so this is :meth:`TankCircuit.transfer_efficiency` of the unit tank
+    L = C1 = C2 = 1, R = 1/q.  Approaches exp(-pi/q) for large q, is exactly
+    1.0 at q = inf; requires q > 0.5 (underdamped).
     """
     if not quality_factor > 0.5:
         raise ValueError(
             f"quality factor must exceed 0.5 (underdamped), got {quality_factor!r}"
         )
-    damping = 1.0 / (4.0 * quality_factor**2)
-    if damping == 0.0:  # q = inf, lossless
-        return 1.0
-    return math.exp(
-        -math.pi / (quality_factor * math.sqrt(1.0 - damping))
-    ) / (1.0 - damping) ** 2
+    return TankCircuit(
+        c1=1.0, c2=1.0, inductance=1.0,
+        series_resistance=1.0 / quality_factor, initial_voltage=1.0,
+    ).transfer_efficiency().efficiency
+
+
+def break_even_energy(overhead: float, efficiency: float) -> float:
+    """overhead/efficiency; ValueError if not finite (as at efficiency 0)."""
+    if not (efficiency > 0.0 and overhead / efficiency < math.inf):
+        raise ValueError(
+            f"break-even energy {overhead!r} / efficiency {efficiency!r} is not finite"
+        )
+    return overhead / efficiency
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,10 @@ class TankCircuit:
         )
 
     def _damped_frequency(self, cap: float) -> float:
-        w0_sq = 1.0 / (self.inductance * cap)
+        lc = self.inductance * cap
+        if lc == 0.0 or 1.0 / lc == math.inf:
+            raise ValueError(f"L*C underflows for L={self.inductance!r} H, C={cap!r} F")
+        w0_sq = 1.0 / lc
         wd_sq = w0_sq - self.alpha**2
         if not wd_sq > 0.0:
             raise ValueError(
@@ -282,7 +293,7 @@ class TankCircuit:
         overhead = n_switch_events * e_switch_control
         return BreakEven(
             net_saving=eta * self.energy_initial - overhead,
-            break_even_energy=overhead / eta,
+            break_even_energy=break_even_energy(overhead, eta),
             efficiency=eta,
         )
 

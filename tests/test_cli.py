@@ -57,6 +57,13 @@ class TestFloorCommand:
         assert (code, out) == (2, "")
         assert err == "error: observation_time must be finite, got inf\n"
 
+    def test_overflowing_window_ratio_is_refused_by_name(self, capsys):
+        code, out, err = run_cli(
+            capsys, "floor", "--epsilon", "1e-30", "--t-obs", "1e308", "--tau", "1e-300"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: t_o/tau overflows for t_o=1e+308 s, tau=1e-300 s\n"
+
     def test_half_specified_long_floor_rejected(self, capsys):
         code, _, err = run_cli(capsys, "floor", "--epsilon", "1e-9", "--tau", "1e-9")
         assert code == 2
@@ -240,6 +247,14 @@ class TestMcCommand:
         assert (code, out) == (2, "")
         assert err == f"error: observation_time must be finite, got {window}\n"
 
+    def test_infinite_threshold_is_refused_by_name(self, capsys):
+        code, out, err = run_cli(
+            capsys, "mc", "--cap", "1e-15", "--res", "1e5",
+            "--threshold-sigma", "inf", "--t-obs", "1e-9", "--trials", "10",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: threshold must be finite, got inf\n"
+
     def test_window_shorter_than_tau_is_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "mc", "--cap", "1e-15", "--res", "1e6",
@@ -281,6 +296,41 @@ class TestTankCommand:
         code, out, err = run_cli(capsys, *self.Q100, "--e-switch-kt", "inf")
         assert (code, out) == (2, "")
         assert err == "error: --e-switch-kt must be finite, got inf\n"
+
+    def test_overflowing_break_even_is_refused_by_name(self, capsys):
+        code, out, err = run_cli(
+            capsys, *self.Q100, "--e-switch-kt", "1e308", "--n-switches", "10"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --e-switch-kt 1e+308 x --n-switches 10 overflows the "
+            "break-even energy in kT\n"
+        )
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (("--simulate",), "efficiency is 0; the RK4 gap is undefined"),
+            (("--simulate", "--json"), "efficiency is 0; the RK4 gap is undefined"),
+            (("--e-switch-kt", "1"), "efficiency 0.0 is not finite"),
+        ],
+    )
+    def test_zero_efficiency_is_refused_by_name(self, capsys, extra, named):
+        # q = 0.5000025: the closed-form ring-down underflows to exactly 0.
+        code, out, err = run_cli(
+            capsys, "tank", "--inductance", "1e-9", "--c1", "1e-15",
+            "--c2", "1e-15", "--resistance", "1999.99", "--v0", "1", *extra,
+        )
+        assert (code, out) == (2, "")
+        assert named in err and err.count("\n") == 1
+
+    def test_underflowing_ring_frequency_names_l_and_c(self, capsys):
+        code, out, err = run_cli(
+            capsys, "tank", "--inductance", "1e-300", "--c1", "1e-300",
+            "--c2", "1e-12", "--v0", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: L*C underflows for L=1e-300 H, C=1e-300 F\n"
 
     def test_overdamped_is_domain_error(self, capsys):
         code, _, err = run_cli(
@@ -395,6 +445,12 @@ class TestSweepCommand:
             ({"q": 50.0, "e_switch": math.inf}, "'e_switch' must be finite, got inf"),
             ({"t_o": math.inf, "tau": 1e-9}, "'t_o' must be finite, got inf"),
             ({"C": math.nan}, "'C' must be finite, got nan"),
+            ({"C": 10**400}, "'C' must fit in a float"),
+            (
+                {"q": 50.0, "e_switch": 1e308, "n_switches": 3},
+                "break-even energy inf / efficiency",
+            ),
+            ({"q": 0.5000001, "e_switch": 1.0}, "efficiency 0.0 is not finite"),
         ],
     )
     def test_bad_fixed_value_is_domain_error(self, capsys, tmp_path, fixed, named):

@@ -168,6 +168,13 @@ class TestFloorLong:
                 ),
                 ENV300,
             )
+        with pytest.raises(ValueError, match="t_o/tau overflows"):
+            floor_long(
+                ErrorSpec(
+                    epsilon=1e-9, observation_time=1e308, correlation_time=1e-300
+                ),
+                ENV300,
+            )
 
 
 class TestInstantaneousErrorProb:
@@ -499,6 +506,10 @@ class TestFirstPassageMc:
             )
         with pytest.raises(ValueError):
             first_passage_mc(stage, -1e-3, observation_time=1e-8, trials=10, seed=1)
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            first_passage_mc(
+                stage, math.inf, observation_time=1e-8, trials=10, seed=1
+            )
         cold = RcStage(
             1e-15, 1e6, 0.0,
             PhysicalEnvironment(temperature=0.0, allow_zero_temperature=True),

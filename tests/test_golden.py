@@ -5,6 +5,13 @@ The digests were taken from the per-cell ``csv.writer`` implementation
 a writer change that alters any byte fails here.  The inputs cover a sweep
 with every cell filled, a sweep with empty cells, an RK4 waveform and a
 sampled noise path, plus a sweep over each parameter on each scale it allows.
+
+The stdout digests pin the exit code and every byte each computing command
+prints, as text and as ``--json``, over inputs that reach every conditional
+line: the long floor, a claim audit, per-operation accounting, an
+inapplicable floor, an underflowed epsilon, a strict failure, threaded Monte
+Carlo, the low-confidence warning, RK4, break-even, unequal capacitors and a
+lossless tank.
 """
 
 import hashlib
@@ -61,6 +68,98 @@ DIGESTS = {
     "sparse.manifest.json": "670cb58de720d8964ec34219590dfd7cb3425879405f8b0b889506f29e761740",
     "waveform.csv": "fbad6678613f562fc884724d45b98aae5cb4ead15a9418fc1f13b3593584f866",
     "path.csv": "57286be99150205350bde16b67132390099e0b1ee1f2e92902101d3add72c92b",
+}
+
+
+# name -> argv; each runs once as text and once with --json.
+STDOUT_CASES = {
+    "floor-short": ("floor", "--epsilon", "1e-30"),
+    "floor-long": (
+        "floor", "--epsilon", "1e-25", "--t-obs", "3.156e7", "--tau", "1e-10",
+    ),
+    "cycle": ("cycle", "--cap", "1e-18", "--swing", "0.2"),
+    "cycle-claimed-kt": (
+        "cycle", "--cap", "1e-15", "--swing", "0.5", "--claimed-kt", "0.5",
+    ),
+    "cycle-claimed-op": (
+        "cycle", "--cap", "1e-15", "--swing", "0.5", "--res", "2e4",
+        "--friction-kt", "3", "--claimed", "2.5e-18", "--accounting", "op",
+    ),
+    "cycle-zero-swing": ("cycle", "--cap", "1e-15", "--swing", "0"),
+    "cycle-underflow": ("cycle", "--cap", "1e-15", "--swing", "10"),
+    "cycle-strict": (
+        "cycle", "--cap", "1e-15", "--swing", "0.5", "--claimed-kt", "0.5",
+        "--strict",
+    ),
+    "mc": (
+        "mc", "--cap", "1e-15", "--res", "1e5", "--threshold-sigma", "2.5",
+        "--t-obs", "1e-8", "--trials", "1000", "--seed", "12345",
+    ),
+    "mc-workers": (
+        "mc", "--cap", "1e-15", "--res", "1e5", "--threshold-sigma", "2.5",
+        "--t-obs", "1e-8", "--trials", "5000", "--seed", "12345",
+        "--workers", "3",
+    ),
+    "mc-low-confidence": (
+        "mc", "--cap", "1e-15", "--res", "1e5", "--threshold-sigma", "5",
+        "--t-obs", "1e-8", "--trials", "50", "--seed", "12345",
+    ),
+    "tank": (
+        "tank", "--inductance", "1e-9", "--c1", "1e-15", "--c2", "1e-15",
+        "--resistance", "10", "--v0", "0.9",
+    ),
+    "tank-simulate": (
+        "tank", "--inductance", "1e-9", "--c1", "1e-15", "--c2", "1e-15",
+        "--resistance", "10", "--v0", "0.9", "--simulate",
+    ),
+    "tank-break-even": (
+        "tank", "--inductance", "1e-9", "--c1", "1e-15", "--c2", "1e-15",
+        "--resistance", "10", "--v0", "0.9", "--e-switch-kt", "7",
+        "--n-switches", "5",
+    ),
+    "tank-asymmetric": (
+        "tank", "--inductance", "1e-9", "--c1", "1e-15", "--c2", "2e-15",
+        "--resistance", "11.5", "--v0", "0.9", "--temp", "77",
+    ),
+    "tank-lossless": (
+        "tank", "--inductance", "1e-9", "--c1", "1e-15", "--c2", "1e-15",
+        "--v0", "0.9", "--simulate", "--e-switch-kt", "7",
+    ),
+}
+
+STDOUT_DIGESTS = {
+    "cycle --json": "1bddf99fc37c8a6af5c4ab36423e39b494b31d2c5af976b8cc012ae9ce78d816",
+    "cycle": "a3ba0535ff33819ba96d49f6a0a5922be2aa29734b12ee3aa14c427487ba8b5c",
+    "cycle-claimed-kt --json": "cfccd66203dc196dce9b62466a0b2004d794e0556d4f37f1970f13ab1ad692b9",
+    "cycle-claimed-kt": "9c12c5adb200dbc4eef92ab3847464f6d477f4669f3c43e0a0cd94c3cbda8c68",
+    "cycle-claimed-op --json": "6d2f3bbab15aa3996bce0e83aaaaae056806b6cce4960403c955ea84e597c230",
+    "cycle-claimed-op": "d00d722c4eac9f2401abeab13a1f6307385420907a3e2b131a58526d86bb8ae0",
+    "cycle-strict --json": "4e23bcc48fb91f493f90dd1f6868d2e3054162f58b2112eeeb375c00579a741e",
+    "cycle-strict": "bf426c69bcdd26f3207557a457ea04200c15730fe8730d851f44a32665b7f830",
+    "cycle-underflow --json": "3c43c197808bb68614b8516501cb9a69dc3e47cb67dde166a739c018457c7708",
+    "cycle-underflow": "e353a5c765912ace66f780c12a9f7e342646c58d8f32dda120d3ed4c74f5739c",
+    "cycle-zero-swing --json": "42913162a4c78721bf6fb2c77b3f5ce582a99d72d99cd96673a66039a9276ce8",
+    "cycle-zero-swing": "31b491a0c5b66aca581c688feb395451c01b3c78865c41d443f1ed54ceb74a81",
+    "floor-long --json": "f153dd2785ecca702ddeac3215852b194f4ef689697ce5419ffb9c9b971a7b05",
+    "floor-long": "6eb0acf1ffe60b72188cacb0c509ba513a7667d924e70f9395a528d9287ae613",
+    "floor-short --json": "dece5faacab5eaeaa1f761afee7d4b83360abe0debfa883799e30877425a6006",
+    "floor-short": "fc389991bd79e5ba8c404354257ec335d4aab1391414d1f89043d36183d76ba5",
+    "mc --json": "c5a1a47d405233df5cf950393e42391f7ad210a8bfb40a60e0f8beaa69f632f8",
+    "mc": "40e99d43a009c3e79b72fb23db772cef8f13b84ba26fd17e0e153021639c1188",
+    "mc-low-confidence --json": "7567a0da3921e5d3cd344c5c95ab1e13d50337435d5e5c71d2d29b8807995236",
+    "mc-low-confidence": "0a7de29bb7a40c3be17115bf2006ff530bcb19a71dc6331be559352895655c29",
+    "mc-workers --json": "ea6943600554e014fe87f005a814f26c5af6745a5a24740e36e2b277d93ec2b3",
+    "mc-workers": "e827c2d653d9d7bccfcb549bdcf1cce46dceeb5d7f589732fe658dfd28e0a915",
+    "tank --json": "da270f5e3be619834580c1ccfa4f14814b68b8ad319535358449208e8d45a2a2",
+    "tank": "ad178bf58eb89a4f348ed43906c1c616991c9365a79a729bd6ddea6d1a5a2f99",
+    "tank-asymmetric --json": "aac237ab27b42b10e3c1b29ded61ae1e3d1db834b6933b20c5b1d43f88ec7b8e",
+    "tank-asymmetric": "58774f6d7e0b779f425b099fd55b3c66e7b7b3b1b36014b70347fa181f8e0804",
+    "tank-break-even --json": "a5b9849692fa2fbf2d3bd6195e30f75213425445b4f76f5b87de239a4a9f032e",
+    "tank-break-even": "41c353a09202e83423ea7ec967f8f109fc3a802645b6f4e579f46d98ab3ee84f",
+    "tank-lossless --json": "d962d6582761f9b294e049f899f78e23b9c776e81aed8ff73e4db6cdad1d2887",
+    "tank-lossless": "ee31ac72f7ec5c33283088552990eae23e354571b230fbb9ba5857923c58f791",
+    "tank-simulate --json": "856e1cd36dfef98d63b2a192cca8720ed2d78c871dd1e5b3fd9525507d85ba71",
+    "tank-simulate": "f2caa7c275538c86fd2632688c443dbf2c9780f787bfda521a13cda175fbc369",
 }
 
 
@@ -152,6 +251,14 @@ def golden_files(tmp_path_factory):
 def test_file_bytes_match_golden_digest(golden_files, name):
     assert hashlib.sha256(golden_files[name]).hexdigest() == DIGESTS[name]
 
+
+@pytest.mark.parametrize("name", sorted(STDOUT_DIGESTS))
+def test_stdout_matches_golden_digest(capsys, monkeypatch, name):
+    monkeypatch.delenv("KTFLOOR_SEED", raising=False)
+    case, _, flag = name.partition(" ")
+    code = main([*STDOUT_CASES[case], *flag.split()])
+    text = f"{code}\n{capsys.readouterr().out}"
+    assert hashlib.sha256(text.encode()).hexdigest() == STDOUT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(VARIABLE_SWEEPS))

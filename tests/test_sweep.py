@@ -107,6 +107,23 @@ class TestConfigValidation:
         with pytest.raises(SweepConfigError, match="'n_switches' must be an integer"):
             SweepSpec.from_config(config)
 
+    @pytest.mark.parametrize(
+        "name, named",
+        [
+            ("start", "fields 'start'/'stop': must be finite numbers"),
+            ("stop", "fields 'start'/'stop': must be finite numbers"),
+            ("n_switches", "field 'fixed': 'n_switches' must fit in a float"),
+        ],
+    )
+    def test_integer_past_float_range_is_named(self, tmp_path, name, named):
+        config = base_config(tmp_path, start=1.0, stop=2.0)
+        if name == "n_switches":
+            config["fixed"]["n_switches"] = 10**400
+        else:
+            config[name] = 10**400
+        with pytest.raises(SweepConfigError, match=named):
+            SweepSpec.from_config(config)
+
     def test_whole_number_float_n_switches_counts_as_integer(self, tmp_path):
         rows = {}
         for value in (3, 3.0):

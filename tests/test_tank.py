@@ -44,6 +44,10 @@ class TestConstructionAndSchedule:
         with pytest.raises(ValueError):
             make_tank(resistance=2500.0)
 
+    def test_underflowing_lc_names_both(self):
+        with pytest.raises(ValueError, match=r"L\*C underflows for L=1e-300 H, C=1e-300"):
+            make_tank(inductance=1e-300, c1=1e-300)
+
     def test_critically_damped_rejected(self):
         # Exactly representable values so alpha**2 == w0**2 at the bit level
         # (1e-6 * 1e-12 rounds to just above 1e-18, which would leave the
@@ -100,6 +104,13 @@ class TestClosedFormEfficiency:
     def test_symmetric_helper_matches_circuit_form(self):
         circuit = make_tank(resistance=10.0).transfer_efficiency().efficiency
         assert symmetric_tank_efficiency(100.0) == pytest.approx(circuit, rel=1e-12)
+
+    def test_symmetric_helper_matches_published_formula(self):
+        # exp(-pi / (q*sqrt(1 - d))) / (1 - d)**2 with d = 1/(4 q**2).
+        for q in np.geomspace(0.6, 1e4, 401).tolist():
+            d = 1.0 / (4.0 * q * q)
+            published = math.exp(-math.pi / (q * math.sqrt(1.0 - d))) / (1.0 - d) ** 2
+            assert symmetric_tank_efficiency(q) == pytest.approx(published, rel=1e-14)
 
     def test_symmetric_helper_domain(self):
         with pytest.raises(ValueError):
@@ -235,3 +246,5 @@ class TestBreakEven:
             tank.break_even(-1e-21)
         with pytest.raises(ValueError):
             tank.break_even(1e-21, n_switch_events=1)
+        with pytest.raises(ValueError, match="not finite"):
+            tank.break_even(1e308, n_switch_events=3)

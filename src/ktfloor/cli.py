@@ -188,6 +188,12 @@ def cmd_cycle(args) -> int:
         "claimed_per_op_J": claimed,
         "claim_verdict": claim_verdict,
     }
+    claimed_kt = None if claimed is None else env.joules_to_kt(claimed)
+    # Finite inputs can still overflow: C*U1**2 near the float limit is
+    # finite in joules but not in kT units.
+    for name, value in (*payload.items(), ("claimed_kT", claimed_kt)):
+        if name.endswith(("_J", "_kT")) and value == math.inf:
+            raise ValueError(f"{name} overflows a float for these inputs")
     _report(
         args, payload, _CYCLE_TEXT,
         sigma_V=(env.thermal_energy() / args.cap) ** 0.5,
@@ -195,7 +201,7 @@ def cmd_cycle(args) -> int:
         accounting_label="per operation (half cycle)" if per_op
         else "per cycle (one 0->1->0)",
         no_floor=report.floor_short_kt is None,
-        claimed_kT=None if claimed is None else env.joules_to_kt(claimed),
+        claimed_kT=claimed_kt,
     )
     if args.strict and claim_verdict == CLAIM_NEGLECTS:
         return 3
@@ -479,7 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mc.add_argument(
         "--trials", type=int, default=100000, metavar="N",
-        help="Monte Carlo trials (default 100000)",
+        help=(
+            "Monte Carlo trials (default 100000); trials x (observations + 1) "
+            "must be at most 10**10"
+        ),
     )
     p_mc.add_argument(
         "--seed", type=int, default=None, metavar="N",

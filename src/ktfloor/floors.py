@@ -15,6 +15,7 @@ re-examined once per tau.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -22,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcinv, log_ndtr
 
 from .circuit import RcStage
 from .noise import OuProcess, path_generator
@@ -36,6 +36,24 @@ _SQRT2 = math.sqrt(2.0)
 # batching anyway.
 _MC_CHUNK = 4096
 _MC_CHUNK_BYTES = 32 * 2**20
+# Normal draws per Monte Carlo call, trials * (n_obs + 1): 15 to 75 minutes
+# on one core, and about 1000x the largest run in the tests (100000 x 101).
+MAX_MC_DRAWS = 10**10
+
+
+@functools.cache
+def _special():
+    """scipy.special, imported on the first tail evaluation.
+
+    The import costs about 0.35 s and the floors, the closed-form tank and
+    the package import never need it.  The cached accessor adds about
+    0.08 us per tail evaluation, against about 0.7 us for a
+    ``from scipy.special import`` statement in each tail function; a sweep
+    evaluates about 1000 tails.
+    """
+    import scipy.special
+
+    return scipy.special
 
 
 def tail_probability(x: float) -> float:
@@ -44,7 +62,7 @@ def tail_probability(x: float) -> float:
     Accurate to full double precision down to ~1e-300; vectorizes over
     ndarray input.
     """
-    return 0.5 * erfc(x / _SQRT2)
+    return 0.5 * _special().erfc(x / _SQRT2)
 
 
 def log_tail_probability(x: float) -> float:
@@ -55,7 +73,7 @@ def log_tail_probability(x: float) -> float:
     (roughly -x**2/2) out to x ~ 1e150.  Use this form whenever the quantity
     of interest is ln(1/epsilon) rather than epsilon itself.
     """
-    return float(log_ndtr(-x))
+    return float(_special().log_ndtr(-x))
 
 
 def tail_quantile(epsilon: float) -> float:
@@ -68,7 +86,7 @@ def tail_quantile(epsilon: float) -> float:
         raise ValueError(
             f"epsilon must lie in (0, 0.5] for the tail quantile, got {epsilon!r}"
         )
-    return _SQRT2 * float(erfcinv(2.0 * epsilon))
+    return _SQRT2 * float(_special().erfcinv(2.0 * epsilon))
 
 
 @dataclass(frozen=True)
@@ -301,7 +319,8 @@ def first_passage_mc(
     independent of ``workers`` and of batching.
 
     A batch holds whole paths in memory, at most 32 MiB, so windows of more
-    than 4194303 observations raise ValueError before any allocation.
+    than 4194303 observations raise ValueError before any allocation, as
+    do runs of more than MAX_MC_DRAWS = 10**10 draws, trials * (n_obs + 1).
     """
     process = OuProcess.from_stage(stage)
     sigma = process.stationary_sigma
@@ -322,6 +341,11 @@ def first_passage_mc(
         raise ValueError(
             f"t_o/tau = {n_obs} observations per trial exceed the Monte Carlo "
             f"limit of {_MC_CHUNK_BYTES // 8 - 1}"
+        )
+    if trials * (n_obs + 1) > MAX_MC_DRAWS:
+        raise ValueError(
+            f"{trials} trials x {n_obs + 1} draws per path exceed the Monte "
+            f"Carlo limit of {MAX_MC_DRAWS:.0e} normal draws"
         )
     a, b = process.update_coefficients(tau)
 

@@ -289,8 +289,13 @@ class TankCircuit:
             raise ValueError(
                 f"n_switch_events must be >= 2, got {n_switch_events!r}"
             )
+        try:
+            overhead = n_switch_events * e_switch_control
+        except OverflowError:
+            raise ValueError(
+                "n_switch_events is too large to convert to float (above 1.8e308)"
+            ) from None
         eta = self.transfer_efficiency().efficiency
-        overhead = n_switch_events * e_switch_control
         return BreakEven(
             net_saving=eta * self.energy_initial - overhead,
             break_even_energy=break_even_energy(overhead, eta),
@@ -299,11 +304,14 @@ class TankCircuit:
 
 
 def _rk4_step(rates, y: tuple[float, float, float], h: float):
-    k1 = rates(y)
-    k2 = rates(tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k1)))
-    k3 = rates(tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k2)))
-    k4 = rates(tuple(yi + h * ki for yi, ki in zip(y, k3)))
-    return tuple(
-        yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+    y0, y1, y2 = y
+    a0, a1, a2 = rates(y)
+    b0, b1, b2 = rates((y0 + 0.5 * h * a0, y1 + 0.5 * h * a1, y2 + 0.5 * h * a2))
+    c0, c1, c2 = rates((y0 + 0.5 * h * b0, y1 + 0.5 * h * b1, y2 + 0.5 * h * b2))
+    d0, d1, d2 = rates((y0 + h * c0, y1 + h * c1, y2 + h * c2))
+    w = h / 6.0
+    return (
+        y0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+        y1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+        y2 + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
     )

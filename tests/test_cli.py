@@ -144,6 +144,24 @@ class TestCycleCommand:
         )
 
     @pytest.mark.parametrize(
+        "extra, named",
+        [
+            # C*U1**2 = 1e300 J is finite; in kT units it is not.
+            (("--cap", "1e200", "--swing", "1e50"), "e_input_kT"),
+            (("--cap", "1e200", "--swing", "1e50", "--json"), "e_input_kT"),
+            (("--cap", "1e-15", "--swing", "1", "--friction-per-transition",
+              "1e300"), "e_friction_kT"),
+            (("--cap", "1e-15", "--swing", "1", "--friction-per-transition",
+              "1.7e308"), "e_friction_J"),
+            (("--cap", "1e-15", "--swing", "1", "--claimed", "1e300"), "claimed_kT"),
+        ],
+    )
+    def test_overflowing_energy_figure_is_refused_by_name(self, capsys, extra, named):
+        code, out, err = run_cli(capsys, "cycle", *extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: {named} overflows a float for these inputs\n"
+
+    @pytest.mark.parametrize(
         "option",
         ["--friction-per-transition", "--friction-kt", "--claimed", "--claimed-kt"],
     )
@@ -238,6 +256,17 @@ class TestMcCommand:
             "the Monte Carlo limit of 4194303\n"
         )
 
+    def test_trials_past_draw_limit_are_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "mc", "--cap", "1e-15", "--res", "1e5",
+            "--threshold-sigma", "3", "--t-obs", "1e-9", "--trials", str(10**20),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: 100000000000000000000 trials x 11 draws per path exceed the "
+            "Monte Carlo limit of 1e+10 normal draws\n"
+        )
+
     @pytest.mark.parametrize("window", ["inf", "nan"])
     def test_non_finite_window_is_refused_by_name(self, capsys, window):
         code, out, err = run_cli(
@@ -305,6 +334,16 @@ class TestTankCommand:
         assert err == (
             "error: --e-switch-kt 1e+308 x --n-switches 10 overflows the "
             "break-even energy in kT\n"
+        )
+
+    def test_overflowing_switch_count_is_refused_by_name(self, capsys):
+        code, out, err = run_cli(
+            capsys, *self.Q100, "--e-switch-kt", "1", "--n-switches", str(10**400)
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: n_switch_events is too large to convert to float "
+            "(above 1.8e308)\n"
         )
 
     @pytest.mark.parametrize(

@@ -381,6 +381,28 @@ class TestFirstPassageMc:
             first_passage_mc(stage, threshold, 4194304e-10, trials=2, seed=1)
         assert counts == [1, 1]
 
+    def test_draw_limit_is_checked_before_any_job(self, monkeypatch):
+        # 10**20 trials would list about 2.4e16 chunk jobs; the draw limit
+        # refuses them before the list or any array is built.
+        def no_chunk(*args):
+            raise AssertionError("a refused run must draw nothing")
+
+        monkeypatch.setattr(floors, "_chunk_hits", no_chunk)
+        stage, threshold = make_stage(res=1e5), 3.0 * SIGMA_1FF_300K
+        with pytest.raises(
+            ValueError, match=r"^100000000000000000000 trials x 11 draws per path .* 1e\+10"
+        ):
+            first_passage_mc(stage, threshold, 1e-9, trials=10**20, seed=1)
+
+    def test_draw_limit_admits_exactly_its_size(self, monkeypatch):
+        # A limit of 8192 x 11 draws: the benchmark's short-path run is
+        # admitted unchanged and one more trial is refused.
+        monkeypatch.setattr(floors, "MAX_MC_DRAWS", 8192 * 11)
+        stage, threshold = make_stage(res=1e5), 3.0 * SIGMA_1FF_300K
+        assert first_passage_mc(stage, threshold, 1e-9, trials=8192, seed=12345).hits == 97
+        with pytest.raises(ValueError, match="8193 trials x 11 draws per path"):
+            first_passage_mc(stage, threshold, 1e-9, trials=8193, seed=12345)
+
     def test_single_chunk_runs_without_a_thread_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("one chunk must not start a thread pool")

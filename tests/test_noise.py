@@ -225,7 +225,10 @@ class TestNoisePath:
 class TestDeferredScipySignal:
     # scipy.signal is about 1 s of import time and only path generation
     # uses it, so neither the package nor a command that builds no path may
-    # load it.  One fresh interpreter checks each stage in turn.
+    # load it.  scipy.special (about 0.35 s) loads on the first normal-tail
+    # evaluation, so the package, the floors and the closed-form tank never
+    # load it.  One fresh interpreter checks each stage in turn, printing
+    # (signal loaded, special loaded) after each.
     def test_loaded_only_when_a_path_is_built(self):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -233,25 +236,32 @@ class TestDeferredScipySignal:
         env.pop("KTFLOOR_SEED", None)
         script = (
             "import contextlib, io, sys\n"
-            "loaded = lambda: 'scipy.signal' in sys.modules\n"
+            "loaded = lambda: ''.join(\n"
+            "    str(int(name in sys.modules)) for name in ('scipy.signal', 'scipy.special')\n"
+            ")\n"
             "import ktfloor\n"
             "seen = [loaded()]\n"
             "from ktfloor.cli import main\n"
             "seen.append(loaded())\n"
+            "codes = []\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    codes = [\n"
-            "        main(['floor', '--epsilon', '1e-30']),\n"
-            "        main(['mc', '--cap', '1e-15', '--res', '1e6',\n"
-            "              '--threshold-sigma', '2', '--t-obs', '1e-8',\n"
-            "              '--trials', '100']),\n"
-            "    ]\n"
-            "seen.append(loaded())\n"
+            "    for argv in (\n"
+            "        ['floor', '--epsilon', '1e-30', '--t-obs', '1e-7', '--tau', '1e-9'],\n"
+            "        ['tank', '--inductance', '1e-9', '--c1', '1e-12', '--c2', '1e-12',\n"
+            "         '--resistance', '0.1', '--v0', '1', '--e-switch-kt', '1'],\n"
+            "        ['mc', '--cap', '1e-15', '--res', '1e6',\n"
+            "         '--threshold-sigma', '2', '--t-obs', '1e-8', '--trials', '100'],\n"
+            "    ):\n"
+            "        codes.append(main(argv))\n"
+            "        seen.append(loaded())\n"
             "ktfloor.stationary_path(ktfloor.OuProcess(1.0, 1.0), 1.0, 3, seed=0)\n"
             "seen.append(loaded())\n"
-            "print(codes, seen)\n"
+            "print(codes, *seen)\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", script],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        assert done.stdout.strip() == "[0, 0] [False, False, False, True]"
+        # Package, CLI, floor and tank load neither; mc loads scipy.special
+        # only; the noise path loads scipy.signal.
+        assert done.stdout.strip() == "[0, 0, 0] 00 00 00 00 01 11"

@@ -248,3 +248,5 @@ class TestBreakEven:
             tank.break_even(1e-21, n_switch_events=1)
         with pytest.raises(ValueError, match="not finite"):
             tank.break_even(1e308, n_switch_events=3)
+        with pytest.raises(ValueError, match="^n_switch_events is too large"):
+            tank.break_even(1e-21, n_switch_events=10**400)

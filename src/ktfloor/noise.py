@@ -18,10 +18,16 @@ split across threads.  A Philox's whole state is its (key, counter) pair, so
 a hot loop may pass one Philox-backed ``np.random.Generator`` to
 ``path_generator`` and have it re-keyed per path: the draws are bit-identical
 to a freshly built generator's, without the cost of constructing one per path.
+Any Philox generator is re-keyed through numpy's state setter, about 1.2 us;
+one from ``rekeyable_generator`` has its state words written in place through
+ctypes views instead, about 0.5 us, once a per-process probe has confirmed
+that numpy's C Philox struct has the layout the views assume.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +44,101 @@ _KEY_LIMIT = 1 << 64
 _ZERO_WORDS = (0, 0, 0, 0)
 
 
+class _PhiloxState(ctypes.Structure):
+    """numpy's C ``philox_state`` (numpy/random/src/philox/philox.h).
+
+    Not public numpy API: ``_philox_layout_matches`` checks it before any
+    view is taken.
+    """
+
+    _fields_ = [
+        ("counter", ctypes.POINTER(ctypes.c_uint64 * 4)),
+        ("key", ctypes.POINTER(ctypes.c_uint64 * 2)),
+        ("buffer_pos", ctypes.c_int),
+        ("buffer", ctypes.c_uint64 * 4),
+        ("has_uint32", ctypes.c_int),
+        ("uinteger", ctypes.c_uint32),
+    ]
+
+
+# What the in-place re-key writes besides the key: a zero counter, and the
+# struct's bytes from buffer_pos on as a freshly keyed Philox holds them, an
+# empty buffer (buffer_pos = 4) of zero words and no buffered half word.
+_ZERO_COUNTER = bytes(32)
+_FRESH_TAIL = bytes(_PhiloxState(buffer_pos=4))[_PhiloxState.buffer_pos.offset :]
+
+
+@functools.cache
+def _philox_layout_matches() -> bool:
+    """Whether ``_PhiloxState`` reads back a state set through numpy's setter.
+
+    Runs once per process.  The inline fields are compared before the two
+    pointers are followed, so a moved struct is never dereferenced.
+    """
+    counter = (0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x0F1E2D3C4B5A6978, 3)
+    key = (0x1122334455667788, 0x99AABBCCDDEEFF00)
+    buffer = (0xA5A5A5A55A5A5A5A, 0x3C3C3C3CC3C3C3C3, 0x6996966996696996, 5)
+    bit_generator = np.random.Philox()
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": key},
+        "buffer": buffer,
+        "buffer_pos": 3,
+        "has_uint32": 1,
+        "uinteger": 0x89ABCDEF,
+    }
+    view = _PhiloxState.from_address(bit_generator.ctypes.state_address)
+    inline = (view.buffer_pos, tuple(view.buffer), view.has_uint32, view.uinteger)
+    if inline != (3, buffer, 1, 0x89ABCDEF):
+        return False
+    return tuple(view.counter.contents) == counter and tuple(view.key.contents) == key
+
+
+@functools.cache
+def _rekeyable_generator_class() -> type:
+    # Made on first use: subclassing np.random.Generator imports numpy.random
+    # (about 10 ms), which ``import ktfloor`` otherwise never pays.
+    class RekeyableGenerator(np.random.Generator):
+        """Philox generator that ``path_generator`` re-keys by writing its state.
+
+        Holds byte views of its bit generator's key, counter and the state
+        struct from ``buffer_pos`` on; the generator keeps the bit generator,
+        and so the memory the views cover, alive.
+        """
+
+        __slots__ = ("_key", "_counter", "_tail")
+
+        def __init__(self) -> None:
+            bit_generator = np.random.Philox()
+            super().__init__(bit_generator)
+            state = _PhiloxState.from_address(bit_generator.ctypes.state_address)
+            self._key = memoryview(state.key.contents).cast("B").cast("Q")
+            self._counter = memoryview(state.counter.contents).cast("B")
+            self._tail = memoryview(state).cast("B")[_PhiloxState.buffer_pos.offset :]
+
+        def _rekey(self, seed_word: int, index_word: int) -> None:
+            self._key[0] = seed_word
+            self._key[1] = index_word
+            self._counter[:] = _ZERO_COUNTER
+            self._tail[:] = _FRESH_TAIL
+
+    return RekeyableGenerator
+
+
+def rekeyable_generator() -> np.random.Generator:
+    """A Philox-backed generator for ``path_generator`` to re-key per path.
+
+    Re-keying it writes the Philox state words in place, which costs less
+    than half of numpy's state setter.  Should the installed numpy's Philox
+    struct not match the layout that relies on, this returns a plain Philox
+    generator, which ``path_generator`` re-keys through the setter; the
+    draws are the same either way.
+    """
+    if _philox_layout_matches():
+        return _rekeyable_generator_class()()
+    return np.random.Generator(np.random.Philox())
+
+
 def path_generator(
     seed: int, path_index: int, generator: np.random.Generator | None = None
 ) -> np.random.Generator:
@@ -49,7 +150,8 @@ def path_generator(
 
     With a Philox-backed ``generator`` given, its bit generator is re-keyed in
     place (zero counter, empty buffer) and that same object is returned
-    instead of a new one; the draws are bit-identical either way.  The object
+    instead of a new one; the draws are bit-identical either way.  One from
+    ``rekeyable_generator`` is re-keyed fastest.  The object
     is reused, so it must not be shared between threads, and draws meant for
     an earlier path must be taken before it is re-keyed.
     """
@@ -57,7 +159,13 @@ def path_generator(
         raise ValueError(f"seed must lie in [-2**63, 2**64), got {seed!r}")
     if not 0 <= path_index < _KEY_LIMIT:
         raise ValueError(f"path_index must lie in [0, 2**64), got {path_index!r}")
-    key = [seed & _UINT64_MASK, path_index & _UINT64_MASK]
+    seed_word = seed & _UINT64_MASK
+    index_word = path_index & _UINT64_MASK
+    rekey = getattr(generator, "_rekey", None)
+    if rekey is not None:
+        rekey(seed_word, index_word)
+        return generator
+    key = [seed_word, index_word]
     if generator is None:
         return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
     generator.bit_generator.state = {

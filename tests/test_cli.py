@@ -256,6 +256,18 @@ class TestMcCommand:
             "the Monte Carlo limit of 4194303\n"
         )
 
+    def test_huge_window_ratio_prints_in_e_notation(self, capsys):
+        # tau = 1e-295 s, so t_o/tau is a 287-digit integer.
+        code, out, err = run_cli(
+            capsys, "mc", "--cap", "1e-300", "--res", "1e5",
+            "--threshold-sigma", "3", "--t-obs", "1e-9", "--trials", "100",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: t_o/tau = 1e+286 observations per trial exceed the "
+            "Monte Carlo limit of 4194303\n"
+        )
+
     def test_trials_past_draw_limit_are_refused(self, capsys):
         code, out, err = run_cli(
             capsys, "mc", "--cap", "1e-15", "--res", "1e5",

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ar1_oracle import exceedance_probability
-from ktfloor import floors
+from ktfloor import floors, noise
 from ktfloor import (
     ErrorSpec,
     OuProcess,
@@ -343,6 +343,15 @@ class TestFirstPassageMc:
         )
         assert result.n_observations == round(t_obs / 1e-10)
         assert result.hits == hits
+
+    def test_failed_layout_probe_falls_back_to_the_state_setter(self, monkeypatch):
+        args = (make_stage(res=1e5), 3.0 * SIGMA_1FF_300K, 1e-9)
+        fast = first_passage_mc(*args, trials=8192, seed=12345)
+        monkeypatch.setattr(noise, "_philox_layout_matches", lambda: False)
+        assert type(noise.rekeyable_generator()) is np.random.Generator
+        slow = first_passage_mc(*args, trials=8192, seed=12345)
+        assert slow.hits == 97
+        assert slow == fast
 
     def test_chunk_byte_limit_keeps_hit_counts(self, monkeypatch):
         # 100 rows of 11 float64 per chunk instead of 4096: 82 chunks, and

@@ -19,12 +19,19 @@ from ktfloor import (
     sample_path,
     stationary_path,
 )
+from ktfloor import noise
 
 ENV300 = PhysicalEnvironment(temperature=300.0)
 STAGE = RcStage(capacitance=1e-15, resistance=1e6, swing_voltage=24.08e-3, env=ENV300)
 
 # sqrt(kT/C) at T = 300 K, C = 1 fF; frozen from 40-digit evaluation.
 SIGMA_1FF_300K = 2.0351773878460816e-3
+
+
+def reusable_generators():
+    """A plain Philox generator, re-keyed through numpy's state setter, and
+    one from ``rekeyable_generator``, whose state words are written in place."""
+    return [np.random.Generator(np.random.Philox()), noise.rekeyable_generator()]
 
 
 class TestConstruction:
@@ -117,17 +124,17 @@ class TestReproducibility:
         gen = path_generator(-3, 0)
         assert np.isfinite(gen.standard_normal())
 
-    @pytest.mark.parametrize("seed", [0, -3, 12345, 2**64 - 1])
+    @pytest.mark.parametrize("seed", [0, -3, 12345, 2**64 - 1, -(2**63)])
     def test_rekeyed_generator_matches_fresh_generator(self, seed):
-        gen = np.random.Generator(np.random.Philox())
-        for index in (0, 1, 2**32 + 5, 2**63):
-            fresh = path_generator(seed, index).standard_normal(1001)
-            rekeyed = path_generator(seed, index, gen).standard_normal(1001)
-            assert np.array_equal(rekeyed, fresh)
+        for gen in reusable_generators():
+            for index in (0, 1, 2**32 + 5, 2**63, 2**64 - 1):
+                fresh = path_generator(seed, index).standard_normal(1001)
+                rekeyed = path_generator(seed, index, gen).standard_normal(1001)
+                assert np.array_equal(rekeyed, fresh)
 
     def test_rekey_returns_the_generator_it_was_given(self):
-        gen = np.random.Generator(np.random.Philox())
-        assert path_generator(3, 1, gen) is gen
+        for gen in reusable_generators():
+            assert path_generator(3, 1, gen) is gen
         with pytest.raises(ValueError):
             path_generator(3, 1, np.random.default_rng(0))
 
@@ -140,15 +147,25 @@ class TestReproducibility:
             normals = gen.standard_normal(1001)
             return normals, gen.integers(0, 2**31, size=4, dtype=np.uint32)
 
+        def state_words(gen):
+            state = gen.bit_generator.state
+            return [
+                *state["state"]["counter"], *state["state"]["key"], *state["buffer"],
+                state["buffer_pos"], state["has_uint32"], state["uinteger"],
+            ]
+
+        fresh_state = state_words(path_generator(7, 2))
         fresh = draws(path_generator(7, 2))
-        gen = np.random.Generator(np.random.Philox())
-        path_generator(5, 0, gen).standard_normal(3)
-        after_partial = draws(path_generator(7, 2, gen))
-        path_generator(5, 0, gen).integers(0, 2**31, size=3, dtype=np.uint32)
-        after_odd = draws(path_generator(7, 2, gen))
-        for got in (after_partial, after_odd):
-            assert np.array_equal(got[0], fresh[0])
-            assert np.array_equal(got[1], fresh[1])
+        for gen in reusable_generators():
+            path_generator(5, 0, gen).standard_normal(3)
+            assert state_words(path_generator(7, 2, gen)) == fresh_state
+            after_partial = draws(gen)
+            path_generator(5, 0, gen).integers(0, 2**31, size=3, dtype=np.uint32)
+            assert state_words(path_generator(7, 2, gen)) == fresh_state
+            after_odd = draws(gen)
+            for got in (after_partial, after_odd):
+                assert np.array_equal(got[0], fresh[0])
+                assert np.array_equal(got[1], fresh[1])
 
     @pytest.mark.parametrize(
         "seed, index", [(2**64, 0), (-(2**63) - 1, 0), (0, -1), (0, 2**64)]
@@ -157,8 +174,15 @@ class TestReproducibility:
         # Masking them to 64 bits would alias another (seed, index) stream.
         with pytest.raises(ValueError):
             path_generator(seed, index)
-        with pytest.raises(ValueError):
-            path_generator(seed, index, np.random.Generator(np.random.Philox()))
+        for gen in reusable_generators():
+            with pytest.raises(ValueError):
+                path_generator(seed, index, gen)
+
+    def test_philox_layout_probe_passes_on_installed_numpy(self):
+        # A numpy whose C Philox struct moved would silently lose the
+        # in-place re-key; fail here instead.
+        assert noise._philox_layout_matches()
+        assert type(noise.rekeyable_generator()) is noise._rekeyable_generator_class()
 
     def test_seed_independence_cross_correlation(self):
         process = OuProcess.from_stage(STAGE)

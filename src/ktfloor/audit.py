@@ -11,10 +11,15 @@ floor the gate's own noise level implies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 from .circuit import RcStage
-from .floors import ErrorSpec, floor_short, log_tail_probability, tail_probability
+from .floors import (
+    ErrorSpec,
+    floor_short,
+    instantaneous_error_prob,
+    log_tail_probability,
+)
+from .quantities import require
 
 VERDICT_SUB_KT = "sub-kT"
 VERDICT_AT_OR_ABOVE_KT = "at-or-above-kT"
@@ -40,16 +45,25 @@ class FollowerGate:
     threshold_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.friction_energy_per_transition >= 0.0:
-            raise ValueError(
-                "friction_energy_per_transition must be >= 0 J, got "
-                f"{self.friction_energy_per_transition!r}"
-            )
+        require(
+            "friction_energy_per_transition",
+            self.friction_energy_per_transition, "J", ge=0,
+        )
         if not 0.0 < self.threshold_fraction < 1.0:
             raise ValueError(
                 f"threshold_fraction must lie in (0, 1), got "
                 f"{self.threshold_fraction!r}"
             )
+
+    def cycle_energies(self) -> tuple[float, float, float]:
+        """(friction, input charging, total) for one cycle, joules.
+
+        Friction is charged once per transition (two per cycle); input
+        charging costs C*U1**2 per cycle regardless of switch construction.
+        """
+        e_friction = 2.0 * self.friction_energy_per_transition
+        e_input = self.stage.full_cycle_dissipation().total_dissipated
+        return e_friction, e_input, e_friction + e_input
 
 
 @dataclass(frozen=True)
@@ -91,30 +105,24 @@ class AuditReport:
 def run_cycle(gate: FollowerGate) -> AuditReport:
     """Audit one full 0 -> 1 -> 0 cycle of the gate.
 
-    Friction is charged once per transition (two transitions per cycle);
-    input charging costs C*U1**2 per cycle regardless of switch construction.
-    The error probability is one observation of the input node against the
-    threshold at threshold_fraction*U1 with noise sigma = sqrt(kT/C).
+    Energies are :meth:`FollowerGate.cycle_energies`.  The error probability
+    is one observation of the input node against the threshold at
+    threshold_fraction*U1 with noise sigma = sqrt(kT/C).
     """
     env = gate.stage.env
     kt = env.thermal_energy()
     if kt == 0.0:
         raise ValueError("gate audit requires a positive-temperature bath")
 
-    ledger = gate.stage.full_cycle_dissipation()
-    e_input = ledger.total_dissipated
-    e_friction = 2.0 * gate.friction_energy_per_transition
-    e_total = e_friction + e_input
-
-    sigma = sqrt(kt / gate.stage.capacitance)
+    e_friction, e_input, e_total = gate.cycle_energies()
+    sigma = gate.stage.noise_sigma
     threshold = gate.threshold_fraction * gate.stage.swing_voltage
-    threshold_sigmas = threshold / sigma
-    epsilon = float(tail_probability(threshold_sigmas))
+    epsilon = instantaneous_error_prob(threshold, sigma)
 
     if epsilon == 0.0:
         # The swing is so large (beyond ~38 sigma) that epsilon underflows
         # double precision; the floor is still finite in log space.
-        floor_kt: float | None = -log_tail_probability(threshold_sigmas)
+        floor_kt: float | None = -log_tail_probability(threshold / sigma)
         floor_joule: float | None = floor_kt * kt
         verdict_total = (
             VERDICT_BELOW_FLOOR
@@ -163,12 +171,8 @@ def audit_claim(gate: FollowerGate, claimed_energy_per_op: float) -> str:
     that channel out of the books: returns ``"neglects-input-charging"``.
     Anything at or above the honest per-operation figure is ``"consistent"``.
     """
-    if not claimed_energy_per_op >= 0.0:
-        raise ValueError(
-            f"claimed_energy_per_op must be >= 0 J, got {claimed_energy_per_op!r}"
-        )
-    e_input = gate.stage.full_cycle_dissipation().total_dissipated
-    e_total = e_input + 2.0 * gate.friction_energy_per_transition
+    require("claimed_energy_per_op", claimed_energy_per_op, "J", ge=0)
+    _, e_input, e_total = gate.cycle_energies()
     if claimed_energy_per_op < 0.5 * e_total and e_input > 0.0:
         return CLAIM_NEGLECTS
     return CLAIM_CONSISTENT

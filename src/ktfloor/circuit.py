@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantities import PhysicalEnvironment
+from .quantities import PhysicalEnvironment, require
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,8 @@ class RcStage:
 
     ``resistance`` must be strictly positive; the R -> 0 limit is singular
     (infinite instantaneous power, zero correlation time) even though the
-    dissipated energy is R-independent for every R > 0.
+    dissipated energy is R-independent for every R > 0.  All three must be
+    finite.
     """
 
     capacitance: float
@@ -32,19 +33,19 @@ class RcStage:
     env: PhysicalEnvironment
 
     def __post_init__(self) -> None:
-        if not self.capacitance > 0.0:
-            raise ValueError(f"capacitance must be > 0 F, got {self.capacitance!r}")
-        if not self.resistance > 0.0:
-            raise ValueError(f"resistance must be > 0 ohm, got {self.resistance!r}")
-        if not self.swing_voltage >= 0.0:
-            raise ValueError(
-                f"swing_voltage must be >= 0 V, got {self.swing_voltage!r}"
-            )
+        require("capacitance", self.capacitance, "F", gt=0)
+        require("resistance", self.resistance, "ohm", gt=0)
+        require("swing_voltage", self.swing_voltage, "V", ge=0)
 
     @property
     def correlation_time(self) -> float:
         """RC time constant in seconds."""
         return self.resistance * self.capacitance
+
+    @property
+    def noise_sigma(self) -> float:
+        """Thermal noise on the node, sqrt(kT/C) volts (equipartition)."""
+        return math.sqrt(self.env.thermal_energy() / self.capacitance)
 
     def charge_energy(self) -> float:
         """Energy stored on the capacitor at full swing: C*U1**2/2, joules.
@@ -118,10 +119,8 @@ def integrated_charge_dissipation(
     exp(-2*horizon) of the energy (~4e-18 at the default horizon), far below
     the trapezoid error itself.
     """
-    if not step_fraction > 0.0:
-        raise ValueError("step_fraction must be > 0")
-    if not horizon > 0.0:
-        raise ValueError("horizon must be > 0")
+    require("step_fraction", step_fraction, gt=0)
+    require("horizon", horizon, gt=0)
     tau = stage.correlation_time
     n = int(round(horizon / step_fraction))
     t = np.linspace(0.0, horizon * tau, n + 1)

@@ -196,7 +196,7 @@ def cmd_cycle(args) -> int:
             raise ValueError(f"{name} overflows a float for these inputs")
     _report(
         args, payload, _CYCLE_TEXT,
-        sigma_V=(env.thermal_energy() / args.cap) ** 0.5,
+        sigma_V=stage.noise_sigma,
         threshold_V=args.threshold_fraction * args.swing,
         accounting_label="per operation (half cycle)" if per_op
         else "per cycle (one 0->1->0)",
@@ -324,7 +324,7 @@ def cmd_tank(args) -> int:
             e_switch_control=env.kt_to_joules(args.e_switch_kt),
             n_switch_events=args.n_switches,
         )
-        overhead = args.n_switches * env.kt_to_joules(args.e_switch_kt)
+        overhead = breakeven.overhead
         break_even_kt = env.joules_to_kt(breakeven.break_even_energy)
         if break_even_kt == math.inf:
             raise ValueError(

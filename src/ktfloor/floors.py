@@ -26,7 +26,7 @@ import numpy as np
 
 from .circuit import RcStage
 from .noise import OuProcess, path_generator, rekeyable_generator
-from .quantities import PhysicalEnvironment
+from .quantities import PhysicalEnvironment, require
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -108,18 +108,9 @@ class ErrorSpec:
                 "epsilon must lie in the open interval (0, 0.5), "
                 f"got {self.epsilon!r}"
             )
-        if not self.observation_time >= 0.0:
-            raise ValueError(
-                f"observation_time must be >= 0 s, got {self.observation_time!r}"
-            )
-        if math.isinf(self.observation_time):
-            raise ValueError(
-                f"observation_time must be finite, got {self.observation_time!r}"
-            )
-        if self.correlation_time is not None and not self.correlation_time > 0.0:
-            raise ValueError(
-                f"correlation_time must be > 0 s, got {self.correlation_time!r}"
-            )
+        require("observation_time", self.observation_time, "s", ge=0)
+        if self.correlation_time is not None:
+            require("correlation_time", self.correlation_time, "s", gt=0)
 
 
 @dataclass(frozen=True)
@@ -172,11 +163,12 @@ def floor_long(spec: ErrorSpec, env: PhysicalEnvironment) -> FloorResult:
 
 
 def instantaneous_error_prob(threshold: float, sigma: float) -> float:
-    """P(noise voltage > threshold) for Gaussian noise of std dev sigma."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be > 0 V, got {sigma!r}")
-    if not threshold >= 0.0:
-        raise ValueError(f"threshold must be >= 0 V, got {threshold!r}")
+    """P(noise voltage > threshold) for Gaussian noise of std dev sigma.
+
+    sigma may be infinite (kT/C past the float range), which gives 0.5.
+    """
+    require("sigma", sigma, "V", gt=0, finite=False)
+    require("threshold", threshold, "V", ge=0)
     return float(tail_probability(threshold / sigma))
 
 
@@ -186,9 +178,7 @@ def multi_sample_error(per_sample_epsilon: float, n_samples: int) -> float:
     1 - (1 - p)**n, computed via expm1/log1p so tiny p keeps full precision
     (p = 1e-9, n = 1e6 comes out 9.995e-4, not a cancellation casualty).
     """
-    n_samples = operator.index(n_samples)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
+    n_samples = require("n_samples", operator.index(n_samples), ge=1)
     if not 0.0 <= per_sample_epsilon <= 1.0:
         raise ValueError(
             f"per_sample_epsilon must lie in [0, 1], got {per_sample_epsilon!r}"
@@ -224,8 +214,7 @@ def required_swing(epsilon_target: float, stage: RcStage) -> SwingRequirement:
     kt = stage.env.thermal_energy()
     if kt == 0.0:
         raise ValueError("required_swing needs a positive-temperature bath")
-    sigma = math.sqrt(kt / stage.capacitance)
-    u1 = 2.0 * sigma * tail_quantile(epsilon_target)
+    u1 = 2.0 * stage.noise_sigma * tail_quantile(epsilon_target)
     e1 = 0.5 * stage.capacitance * u1**2
     return SwingRequirement(
         swing_voltage=u1, energy_joule=e1, energy_kt=stage.env.joules_to_kt(e1)
@@ -240,17 +229,13 @@ def observation_count(observation_time: float, correlation_time: float) -> int:
     99.99999999999999), so a quotient within 1e-9 relative of an integer is
     taken as that integer before flooring.
     """
-    if not correlation_time > 0.0:
-        raise ValueError(
-            f"correlation_time must be > 0 s, got {correlation_time!r}"
-        )
+    require("correlation_time", correlation_time, "s", gt=0)
     if observation_time < correlation_time:
         raise ValueError(
             "observation_time is shorter than one correlation time; "
             "no observation instants fit in the window"
         )
-    if not math.isfinite(observation_time):
-        raise ValueError(f"observation_time must be finite, got {observation_time!r}")
+    require("observation_time", observation_time)
     quotient = observation_time / correlation_time
     nearest = round(quotient)
     if abs(quotient - nearest) <= 1e-9 * max(1.0, abs(quotient)):
@@ -329,14 +314,9 @@ def first_passage_mc(
     tau = process.correlation_time
     if sigma == 0.0:
         raise ValueError("first_passage_mc needs a positive-temperature bath")
-    if not threshold >= 0.0:
-        raise ValueError(f"threshold must be >= 0 V, got {threshold!r}")
-    if threshold == math.inf:
-        raise ValueError(f"threshold must be finite, got {threshold!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    require("threshold", threshold, "V", ge=0)
+    require("trials", trials, ge=1)
+    require("workers", workers, ge=1)
     n_obs = observation_count(observation_time, tau)
     rows = min(_MC_CHUNK, _MC_CHUNK_BYTES // (8 * (n_obs + 1)))
     if rows == 0:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .circuit import RcStage
 from .csvout import write_numeric_csv
+from .quantities import require
 
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 _SEED_MIN = -(1 << 63)
@@ -191,21 +192,14 @@ class OuProcess:
     correlation_time: float
 
     def __post_init__(self) -> None:
-        if not self.stationary_sigma >= 0.0:
-            raise ValueError(
-                f"stationary_sigma must be >= 0 V, got {self.stationary_sigma!r}"
-            )
-        if not self.correlation_time > 0.0:
-            raise ValueError(
-                f"correlation_time must be > 0 s, got {self.correlation_time!r}"
-            )
+        require("stationary_sigma", self.stationary_sigma, "V", ge=0)
+        require("correlation_time", self.correlation_time, "s", gt=0)
 
     @classmethod
     def from_stage(cls, stage: RcStage) -> "OuProcess":
         """Noise process of a stage's input node: sqrt(kT/C), RC."""
-        kt = stage.env.thermal_energy()
         return cls(
-            stationary_sigma=math.sqrt(kt / stage.capacitance),
+            stationary_sigma=stage.noise_sigma,
             correlation_time=stage.correlation_time,
         )
 
@@ -217,8 +211,7 @@ class OuProcess:
         this module uses these same two numbers, which keeps scalar stepping,
         vectorized paths, and the Monte Carlo bit-identical.
         """
-        if not dt > 0.0:
-            raise ValueError(f"dt must be > 0 s, got {dt!r}")
+        require("dt", dt, "s", gt=0)
         a = math.exp(-dt / self.correlation_time)
         b = self.stationary_sigma * math.sqrt(-math.expm1(-2.0 * dt / self.correlation_time))
         return a, b
@@ -273,8 +266,7 @@ def sample_path(
 
     Consumes exactly n standard normals from the (seed, path_index) stream.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    require("n", n, ge=1)
     a, b = process.update_coefficients(dt)
     z = path_generator(seed, path_index).standard_normal(n)
     return NoisePath(
@@ -295,8 +287,7 @@ def stationary_path(
     the recursion.  This is the entry point for equilibrium statistics — every
     sample, including v0, is exactly N(0, sigma**2).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    require("n", n, ge=1)
     a, b = process.update_coefficients(dt)
     z = path_generator(seed, path_index).standard_normal(n + 1)
     v0 = process.stationary_sigma * z[0]

@@ -16,6 +16,26 @@ BOLTZMANN_CONSTANT = 1.380649e-23
 ROOM_TEMPERATURE = 300.0
 
 
+def require(name, value, unit="", *, gt=None, ge=None, finite=True):
+    """Return ``value``, or raise ValueError naming ``name`` if it is out of range.
+
+    ``gt``/``ge`` is a strict/inclusive lower bound.  It is checked first, as
+    ``not value > gt``, so NaN and -inf get the bound's message; then, with
+    ``finite``, any other non-finite value gets "<name> must be finite".  An
+    int compares with -inf and inf exactly, so one too large for a float is
+    finite and never converted.
+    """
+    if gt is not None and not value > gt:
+        op, bound = ">", gt
+    elif ge is not None and not value >= ge:
+        op, bound = ">=", ge
+    elif finite and not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    else:
+        return value
+    raise ValueError(f"{name} must be {op} {f'{bound} {unit}'.rstrip()}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalEnvironment:
     """Thermal bath shared by every circuit calculation.
@@ -41,8 +61,7 @@ class PhysicalEnvironment:
                 "temperature is 0 K; pass allow_zero_temperature=True if a "
                 "noiseless bath is intended"
             )
-        if not self.boltzmann_constant > 0.0:
-            raise ValueError("boltzmann_constant must be positive")
+        require("boltzmann_constant", self.boltzmann_constant, "J/K", gt=0)
 
     def thermal_energy(self) -> float:
         """k_B * T in joules."""

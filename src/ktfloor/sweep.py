@@ -29,10 +29,10 @@ from .floors import (
     ErrorSpec,
     floor_long,
     floor_short,
+    instantaneous_error_prob,
     multi_sample_error,
     observation_count,
     required_swing,
-    tail_probability,
 )
 from .quantities import ROOM_TEMPERATURE, PhysicalEnvironment
 from .tank import break_even_energy, symmetric_tank_efficiency
@@ -212,28 +212,23 @@ def _thermal(params: dict, env: PhysicalEnvironment, row: dict) -> None:
     row["thermal_energy_J"] = env.thermal_energy()
 
 
+# No derived cell depends on R, so the stages below use R = 1 ohm.
 def _sigma(params: dict, env: PhysicalEnvironment, row: dict) -> None:
     cap = params.get("C")
     if cap is not None:
-        if not cap > 0.0:
-            raise ValueError(f"swept/fixed C must be > 0 F, got {cap!r}")
-        row["sigma_V"] = math.sqrt(row["thermal_energy_J"] / cap)
+        row["sigma_V"] = RcStage(cap, 1.0, 0.0, env).noise_sigma
 
 
 def _charge(params: dict, env: PhysicalEnvironment, row: dict) -> None:
     cap = params.get("C")
     swing = params.get("U1")
     if cap is not None and swing is not None:
-        # C*U1**2/2 does not depend on R; RcStage refuses a negative swing.
-        e1 = RcStage(
-            capacitance=cap, resistance=1.0, swing_voltage=swing, env=env
-        ).charge_energy()
-        row["e1_J"] = e1
-        row["e1_kT"] = env.joules_to_kt(e1)
-        row["cycle_J"] = e1 + e1
-        row["cycle_kT"] = env.joules_to_kt(e1 + e1)
-        sigma = row["sigma_V"]
-        row["epsilon_inst"] = float(tail_probability((0.5 * swing) / sigma))
+        ledger = RcStage(cap, 1.0, swing, env).full_cycle_dissipation()
+        row["e1_J"] = ledger.stored_after_charge
+        row["e1_kT"] = env.joules_to_kt(ledger.stored_after_charge)
+        row["cycle_J"] = ledger.total_dissipated
+        row["cycle_kT"] = env.joules_to_kt(ledger.total_dissipated)
+        row["epsilon_inst"] = instantaneous_error_prob(0.5 * swing, row["sigma_V"])
 
 
 def _floors(params: dict, env: PhysicalEnvironment, row: dict) -> None:
@@ -262,8 +257,7 @@ def _required_swing(params: dict, env: PhysicalEnvironment, row: dict) -> None:
     epsilon = params.get("epsilon")
     cap = params.get("C")
     if epsilon is not None and cap is not None:
-        stage = RcStage(capacitance=cap, resistance=1.0, swing_voltage=0.0, env=env)
-        need = required_swing(epsilon, stage)
+        need = required_swing(epsilon, RcStage(cap, 1.0, 0.0, env))
         row["required_U1_V"] = need.swing_voltage
         row["required_E1_kT"] = need.energy_kt
 
@@ -275,16 +269,9 @@ def _tank(params: dict, env: PhysicalEnvironment, row: dict) -> None:
         row["tank_efficiency"] = eta
         e_switch_kt = params.get("e_switch")
         if e_switch_kt is not None:
-            if not e_switch_kt >= 0.0:
-                raise ValueError(
-                    f"swept/fixed e_switch must be >= 0 kT, got {e_switch_kt!r}"
-                )
-            n_switches = int(params.get("n_switches", 2))
-            if n_switches < 2:
-                raise ValueError(
-                    f"fixed n_switches must be >= 2, got {n_switches!r}"
-                )
-            break_even_kt = break_even_energy(n_switches * e_switch_kt, eta)
+            _, break_even_kt = break_even_energy(
+                e_switch_kt, eta, int(params.get("n_switches", 2))
+            )
             row["break_even_kT"] = break_even_kt
             row["break_even_J"] = env.kt_to_joules(break_even_kt)
 

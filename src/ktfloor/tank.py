@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quantities import require
+
 # Pure-Python RK4 runs about 10**5 steps per second; the default step of a
 # symmetric tank takes about 630.
 MAX_RK4_STEPS = 1_000_000
@@ -39,13 +41,29 @@ def symmetric_tank_efficiency(quality_factor: float) -> float:
     ).transfer_efficiency().efficiency
 
 
-def break_even_energy(overhead: float, efficiency: float) -> float:
-    """overhead/efficiency; ValueError if not finite (as at efficiency 0)."""
+def break_even_energy(
+    e_switch_control: float, efficiency: float, n_switch_events: int = 2
+) -> tuple[float, float]:
+    """Switch overhead n_switch_events * e_switch_control and its break-even.
+
+    Returns (overhead, overhead/efficiency) in the unit of e_switch_control.
+    Raises ValueError for a negative energy, fewer than two events, an event
+    count past the float range or a break-even that is not finite (as at
+    efficiency 0).
+    """
+    require("e_switch_control", e_switch_control, ge=0)
+    require("n_switch_events", n_switch_events, ge=2)
+    try:
+        overhead = n_switch_events * e_switch_control
+    except OverflowError:
+        raise ValueError(
+            "n_switch_events is too large to convert to float (above 1.8e308)"
+        ) from None
     if not (efficiency > 0.0 and overhead / efficiency < math.inf):
         raise ValueError(
             f"break-even energy {overhead!r} / efficiency {efficiency!r} is not finite"
         )
-    return overhead / efficiency
+    return overhead, overhead / efficiency
 
 
 @dataclass(frozen=True)
@@ -74,6 +92,7 @@ class BreakEven:
     net_saving: float
     break_even_energy: float
     efficiency: float
+    overhead: float
 
 
 @dataclass(frozen=True)
@@ -92,20 +111,11 @@ class TankCircuit:
     initial_voltage: float
 
     def __post_init__(self) -> None:
-        if not self.c1 > 0.0:
-            raise ValueError(f"c1 must be > 0 F, got {self.c1!r}")
-        if not self.c2 > 0.0:
-            raise ValueError(f"c2 must be > 0 F, got {self.c2!r}")
-        if not self.inductance > 0.0:
-            raise ValueError(f"inductance must be > 0 H, got {self.inductance!r}")
-        if not self.series_resistance >= 0.0:
-            raise ValueError(
-                f"series_resistance must be >= 0 ohm, got {self.series_resistance!r}"
-            )
-        if not self.initial_voltage > 0.0:
-            raise ValueError(
-                f"initial_voltage must be > 0 V, got {self.initial_voltage!r}"
-            )
+        require("c1", self.c1, "F", gt=0)
+        require("c2", self.c2, "F", gt=0)
+        require("inductance", self.inductance, "H", gt=0)
+        require("series_resistance", self.series_resistance, "ohm", ge=0)
+        require("initial_voltage", self.initial_voltage, "V", gt=0)
         # Fail construction, not use: both phases must ring.
         for cap in (self.c1, self.c2):
             self._damped_frequency(cap)
@@ -209,12 +219,17 @@ class TankCircuit:
         dt_bound = math.sqrt(self.inductance * min(self.c1, self.c2)) / 100.0
         if dt is None:
             dt = 0.5 * dt_bound
-        if not dt > 0.0:
-            raise ValueError(f"dt must be > 0 s, got {dt!r}")
+        require("dt", dt, "s", gt=0)
         if dt > dt_bound:
             raise ValueError(
                 f"dt={dt!r} s is too coarse for this tank; need "
                 f"dt <= sqrt(L*min(C1,C2))/100 = {dt_bound!r} s"
+            )
+        e_init = self.energy_initial
+        if e_init == 0.0:
+            raise ValueError(
+                f"v0 {self.initial_voltage!r} V on C1={self.c1!r} F underflows the "
+                "initial energy C1*V0**2/2, so the RK4 efficiency is undefined"
             )
         t1, t2 = self.transfer_schedule()
         steps = t1 / dt + t2 / dt
@@ -259,7 +274,6 @@ class TankCircuit:
                     (t1 + (k + 1) * h2, v1_residual, state[1], state[0], state[2])
                 )
 
-        e_init = self.energy_initial
         delivered = 0.5 * self.c2 * state[0] ** 2
         return TransferReport(
             phase1_duration=t1,
@@ -281,25 +295,13 @@ class TankCircuit:
         two new switches the scheme adds).  Recycling only pays above
         break_even_energy = n*e_sw/efficiency.
         """
-        if not e_switch_control >= 0.0:
-            raise ValueError(
-                f"e_switch_control must be >= 0 J, got {e_switch_control!r}"
-            )
-        if n_switch_events < 2:
-            raise ValueError(
-                f"n_switch_events must be >= 2, got {n_switch_events!r}"
-            )
-        try:
-            overhead = n_switch_events * e_switch_control
-        except OverflowError:
-            raise ValueError(
-                "n_switch_events is too large to convert to float (above 1.8e308)"
-            ) from None
         eta = self.transfer_efficiency().efficiency
+        overhead, energy = break_even_energy(e_switch_control, eta, n_switch_events)
         return BreakEven(
             net_saving=eta * self.energy_initial - overhead,
-            break_even_energy=break_even_energy(overhead, eta),
+            break_even_energy=energy,
             efficiency=eta,
+            overhead=overhead,
         )
 
 

@@ -183,3 +183,17 @@ class TestAuditClaim:
     def test_negative_claim_rejected(self):
         with pytest.raises(ValueError):
             audit_claim(make_gate(), -1e-21)
+
+
+def test_cycle_energies_match_the_audit_and_the_claim_check():
+    gate = make_gate(friction_kt=0.5)
+    e_friction, e_input, e_total = gate.cycle_energies()
+    report = run_cycle(gate)
+    assert (e_friction, e_input, e_total) == (
+        report.e_friction_cycle, report.e_input_cycle, report.e_total_cycle
+    )
+    assert e_friction == 2.0 * ENV300.kt_to_joules(0.5)
+    assert e_input == gate.stage.full_cycle_dissipation().total_dissipated
+    # The claim check draws the line at half the same cycle total.
+    assert audit_claim(gate, 0.5 * e_total) == CLAIM_CONSISTENT
+    assert audit_claim(gate, math.nextafter(0.5 * e_total, 0.0)) == CLAIM_NEGLECTS

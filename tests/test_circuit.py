@@ -4,6 +4,8 @@ Closed-form expectations were frozen from independent high-precision
 evaluation (40-digit arithmetic) before the implementation existed.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -33,6 +35,12 @@ class TestValidation:
     def test_rejects_negative_swing(self):
         with pytest.raises(ValueError):
             make_stage(swing=-0.1)
+
+    @pytest.mark.parametrize("field", ["cap", "res", "swing"])
+    def test_rejects_infinite_fields_by_name(self, field):
+        name = {"cap": "capacitance", "res": "resistance", "swing": "swing_voltage"}
+        with pytest.raises(ValueError, match=f"^{name[field]} must be finite, got inf$"):
+            make_stage(**{field: math.inf})
 
     def test_zero_swing_is_allowed_and_free(self):
         stage = make_stage(swing=0.0)
@@ -149,3 +157,9 @@ class TestQuadratureCrossCheck:
             integrated_charge_dissipation(make_stage(), step_fraction=0.0)
         with pytest.raises(ValueError):
             integrated_charge_dissipation(make_stage(), horizon=-1.0)
+
+
+def test_noise_sigma_is_equipartition():
+    stage = make_stage()
+    assert stage.noise_sigma == math.sqrt(ENV300.thermal_energy() / 1e-15)
+    assert stage.noise_sigma == pytest.approx(2.0352e-3, rel=1e-4)

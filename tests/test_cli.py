@@ -180,6 +180,22 @@ class TestCycleCommand:
         assert out == ""
         assert "temperature" in err
 
+    def test_infinite_resistance_is_refused_by_name(self, capsys):
+        # R does not enter the cycle energies, but RcStage refuses it.
+        code, out, err = run_cli(
+            capsys, "cycle", "--cap", "1e-15", "--swing", "0.5", "--res", "inf"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: resistance must be finite, got inf\n"
+
+    def test_underflowing_noise_sigma_is_refused_by_name(self, capsys):
+        # kT/C underflows to 0, so the threshold is infinitely many sigmas.
+        code, out, err = run_cli(
+            capsys, "cycle", "--cap", "1.7e308", "--swing", "0.5"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: sigma must be > 0 V, got 0.0\n"
+
 
 class TestMcCommand:
     QUICK = (
@@ -412,6 +428,17 @@ class TestTankCommand:
         assert err == (
             "error: v0 1e+300 V on C1=1e-12 F overflows the initial energy "
             "C1*V0**2/2\n"
+        )
+
+    def test_underflowing_initial_energy_is_refused_before_rk4(self, capsys):
+        code, out, err = run_cli(
+            capsys, "tank", "--inductance", "1e-9", "--c1", "1e-15",
+            "--c2", "1e-15", "--v0", "1e-300", "--simulate",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: v0 1e-300 V on C1=1e-15 F underflows the initial energy "
+            "C1*V0**2/2, so the RK4 efficiency is undefined\n"
         )
 
     def test_coarse_dt_is_domain_error(self, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ktfloor import BOLTZMANN_CONSTANT, PhysicalEnvironment
+from ktfloor.quantities import require
 
 
 def test_thermal_energy_room_temperature():
@@ -80,3 +81,61 @@ def test_environment_is_immutable():
     env = PhysicalEnvironment(temperature=300.0)
     with pytest.raises(AttributeError):
         env.temperature = 400.0
+
+
+HUGE_INT = 10**400
+
+
+class TestRequire:
+    @pytest.mark.parametrize(
+        "value, bound",
+        [
+            (1e-15, {"gt": 0}),
+            (0.0, {"ge": 0}),
+            (2, {"ge": 2}),
+            (HUGE_INT, {"gt": 0}),
+            (HUGE_INT, {"ge": 1}),
+        ],
+    )
+    def test_value_in_range_is_returned_unchanged(self, value, bound):
+        assert require("x", value, "F", **bound) is value
+
+    @pytest.mark.parametrize(
+        "value, bound, message",
+        [
+            (0.0, {"gt": 0}, "capacitance must be > 0 F, got 0.0"),
+            (-0.5, {"ge": 0}, "capacitance must be >= 0 F, got -0.5"),
+            (math.nan, {"gt": 0}, "capacitance must be > 0 F, got nan"),
+            (math.nan, {"ge": 0}, "capacitance must be >= 0 F, got nan"),
+            (-math.inf, {"gt": 0}, "capacitance must be > 0 F, got -inf"),
+            (-math.inf, {"ge": 0}, "capacitance must be >= 0 F, got -inf"),
+            (math.inf, {"gt": 0}, "capacitance must be finite, got inf"),
+            (math.inf, {"ge": 0}, "capacitance must be finite, got inf"),
+            (-HUGE_INT, {"gt": 0}, f"capacitance must be > 0 F, got {-HUGE_INT}"),
+        ],
+    )
+    def test_bound_is_checked_before_finiteness(self, value, bound, message):
+        with pytest.raises(ValueError) as info:
+            require("capacitance", value, "F", **bound)
+        assert str(info.value) == message
+
+    def test_bound_without_unit_has_no_trailing_space(self):
+        with pytest.raises(ValueError) as info:
+            require("trials", 0, ge=1)
+        assert str(info.value) == "trials must be >= 1, got 0"
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_finiteness_alone(self, value):
+        with pytest.raises(ValueError) as info:
+            require("observation_time", value)
+        assert str(info.value) == f"observation_time must be finite, got {value!r}"
+
+    def test_integer_too_large_for_a_float_is_finite(self):
+        # Never converted: float(10**400) would raise OverflowError.
+        assert require("n_switch_events", HUGE_INT, ge=2) == HUGE_INT
+        assert require("n_switch_events", HUGE_INT) == HUGE_INT
+
+    def test_finite_false_admits_inf_but_not_nan(self):
+        assert require("sigma", math.inf, "V", gt=0, finite=False) == math.inf
+        with pytest.raises(ValueError, match=r"^sigma must be > 0 V, got nan$"):
+            require("sigma", math.nan, "V", gt=0, finite=False)

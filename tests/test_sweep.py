@@ -221,6 +221,31 @@ class TestDerivedColumns:
         with pytest.raises(ValueError, match="swing_voltage must be >= 0 V, got -0.5"):
             compute_rows(spec)
 
+    @pytest.mark.parametrize(
+        "variable, start, stop, fixed, message",
+        [
+            # The library's bounds, not copies of them, refuse row values.
+            ("C", 0.0, 1e-15, {}, "capacitance must be > 0 F, got 0.0"),
+            ("e_switch", -2.0, 2.0, {"q": 50.0},
+             "e_switch_control must be >= 0, got -2.0"),
+            ("q", 2.0, 20.0, {"e_switch": 1.0, "n_switches": 1},
+             "n_switch_events must be >= 2, got 1"),
+            # kT/C underflows to 0, so epsilon_inst has no noise to divide by.
+            ("U1", 0.1, 1.0, {"C": 1e300, "T": 1e-15},
+             "sigma must be > 0 V, got 0.0"),
+        ],
+    )
+    def test_row_value_is_refused_by_the_library(
+        self, tmp_path, variable, start, stop, fixed, message
+    ):
+        spec = SweepSpec.from_config(base_config(
+            tmp_path, variable=variable, scale="linear", start=start, stop=stop,
+            points=3, fixed=fixed,
+        ))
+        with pytest.raises(ValueError) as info:
+            compute_rows(spec)
+        assert str(info.value) == message
+
     def test_domain_error_stops_before_writing(self, tmp_path):
         config = base_config(
             tmp_path, variable="epsilon", scale="linear", start=0.1, stop=0.6,

@@ -207,6 +207,16 @@ class TestBreakEven:
             BREAK_EVEN_Q100_KT, rel=1e-9
         )
 
+    def test_overhead_is_switch_count_times_energy(self):
+        tank = make_tank(resistance=10.0)
+        e_switch = ENV300.kt_to_joules(70.0)
+        result = tank.break_even(e_switch, n_switch_events=3)
+        assert result.overhead == 3 * e_switch
+        assert result.break_even_energy == result.overhead / result.efficiency
+        assert result.net_saving == (
+            result.efficiency * tank.energy_initial - result.overhead
+        )
+
     def test_net_saving_sign_tracks_initial_energy(self):
         e_switch = ENV300.kt_to_joules(70.0)
         # 0.5 J-scale transfer: recycling is an overwhelming win.

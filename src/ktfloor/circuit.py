@@ -85,11 +85,11 @@ class RcStage:
         """Capacitor voltage and resistor power during the charging step.
 
         ``t`` is seconds since switch closure, scalar or array, all entries
-        >= 0.  Returns ``(v, p)`` with v = U1*(1 - exp(-t/RC)) and
-        p = (U1 - v)**2 / R.
+        >= 0 (NaN is refused).  Returns ``(v, p)`` with
+        v = U1*(1 - exp(-t/RC)) and p = (U1 - v)**2 / R.
         """
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
+        if not np.all(t >= 0.0):
             raise ValueError("transient time must be >= 0 s")
         v = self.swing_voltage * (-np.expm1(-t / self.correlation_time))
         p = (self.swing_voltage - v) ** 2 / self.resistance

@@ -31,11 +31,19 @@ from .quantities import PhysicalEnvironment, require
 _SQRT2 = math.sqrt(2.0)
 
 # Trials per vectorized Monte Carlo batch, fewer when a batch's
-# (trials, n_obs + 1) float64 array would pass _MC_CHUNK_BYTES.  Not
+# (trials, n_obs + 1) float64 array would pass _MC_CHUNK_BYTES: 1047 trials
+# at n_obs = 1000, all 4096 at n_obs = 10, and never fewer than one.  Not
 # worker-dependent, and per-trial streams make the hit counts independent of
 # batching anyway.
 _MC_CHUNK = 4096
-_MC_CHUNK_BYTES = 32 * 2**20
+_MC_CHUNK_BYTES = 8 * 2**20
+# Observations per trial: one path of n_obs + 1 float64 fills at most 32 MiB.
+MAX_MC_OBSERVATIONS = 4 * 2**20 - 1
+# Looks per tile of the AR(1) kernel (see _chunk_hits): up to 32, holding no
+# more draws than one look of a full chunk or 1/32 of this chunk, whichever
+# is more.  A full chunk of short paths then steps one look at a time and
+# holds no more than a look-by-look loop would.
+_MC_TILE = 32
 # Normal draws per Monte Carlo call, trials * (n_obs + 1): 15 to 75 minutes
 # on one core, and about 1000x the largest run in the tests (100000 x 101).
 MAX_MC_DRAWS = 10**10
@@ -281,12 +289,22 @@ def _chunk_hits(
     gen = rekeyable_generator()
     for i in range(count):
         path_generator(seed, first_trial + i, gen).standard_normal(out=z[i])
+    # Look-major: b*z goes into a tile of `looks` by `count`, so each look
+    # updates v and peak in place from one contiguous tile row (about
+    # 3 x 8 KB at 1047 trials, inside L1d) and allocates nothing.  v*a + b*z
+    # is the same sum as a*v + b*z, and max > threshold is "any look >
+    # threshold", so hit counts match a look-by-look loop.
+    looks = max(1, min(_MC_TILE, n_obs, max(_MC_CHUNK // count, n_obs // _MC_TILE)))
     v = sigma * z[:, 0]
-    hit = np.zeros(count, dtype=bool)
-    for k in range(1, n_obs + 1):
-        v = a * v + b * z[:, k]
-        hit |= v > threshold
-    return int(np.count_nonzero(hit))
+    peak = np.full(count, -np.inf)
+    tile = np.empty((looks, count))
+    for k0 in range(1, n_obs + 1, looks):
+        k1 = min(k0 + looks, n_obs + 1)
+        for step in np.multiply(z[:, k0:k1].T, b, out=tile[: k1 - k0]):
+            v *= a
+            v += step
+            np.maximum(peak, v, out=peak)
+    return int(np.count_nonzero(peak > threshold))
 
 
 def first_passage_mc(
@@ -305,9 +323,11 @@ def first_passage_mc(
     Philox stream (seed, i), so the estimate is byte-reproducible and
     independent of ``workers`` and of batching.
 
-    A batch holds whole paths in memory, at most 32 MiB, so windows of more
-    than 4194303 observations raise ValueError before any allocation, as
-    do runs of more than MAX_MC_DRAWS = 10**10 draws, trials * (n_obs + 1).
+    A batch holds whole paths in memory, about 8 MiB of them (one path when
+    a path alone is larger).  Windows of more than MAX_MC_OBSERVATIONS =
+    4194303 observations, one 32 MiB path, raise ValueError before any
+    allocation, as do runs of more than MAX_MC_DRAWS = 10**10 draws,
+    trials * (n_obs + 1).
     """
     process = OuProcess.from_stage(stage)
     sigma = process.stationary_sigma
@@ -318,14 +338,13 @@ def first_passage_mc(
     require("trials", trials, ge=1)
     require("workers", workers, ge=1)
     n_obs = observation_count(observation_time, tau)
-    rows = min(_MC_CHUNK, _MC_CHUNK_BYTES // (8 * (n_obs + 1)))
-    if rows == 0:
+    if n_obs > MAX_MC_OBSERVATIONS:
         # Past 2**53 the count's digits come from a float quotient, so it
         # prints in e-notation rather than as up to 309 digits.
         shown = n_obs if n_obs < 2**53 else f"{n_obs:.6g}"
         raise ValueError(
             f"t_o/tau = {shown} observations per trial exceed the Monte Carlo "
-            f"limit of {_MC_CHUNK_BYTES // 8 - 1}"
+            f"limit of {MAX_MC_OBSERVATIONS}"
         )
     if trials * (n_obs + 1) > MAX_MC_DRAWS:
         raise ValueError(
@@ -334,11 +353,12 @@ def first_passage_mc(
         )
     a, b = process.update_coefficients(tau)
 
+    rows = max(1, min(_MC_CHUNK, _MC_CHUNK_BYTES // (8 * (n_obs + 1))))
     jobs = [
         (start, min(rows, trials - start)) for start in range(0, trials, rows)
     ]
-    # Each thread holds up to _MC_CHUNK_BYTES, so the pool never exceeds
-    # the chunk or core count, whatever ``workers`` asks for.
+    # Each thread holds one chunk, about _MC_CHUNK_BYTES, so the pool never
+    # exceeds the chunk or core count, whatever ``workers`` asks for.
     pool_size = min(workers, len(jobs), os.cpu_count() or 1)
     if pool_size == 1:
         hits = sum(

@@ -212,18 +212,20 @@ def _thermal(params: dict, env: PhysicalEnvironment, row: dict) -> None:
     row["thermal_energy_J"] = env.thermal_energy()
 
 
-# No derived cell depends on R, so the stages below use R = 1 ohm.
+# No derived cell depends on R, so the row's stage uses R = 1 ohm.  _sigma
+# builds it, and the groups after it that read C take it from params rather
+# than validating C again.
 def _sigma(params: dict, env: PhysicalEnvironment, row: dict) -> None:
     cap = params.get("C")
     if cap is not None:
-        row["sigma_V"] = RcStage(cap, 1.0, 0.0, env).noise_sigma
+        stage = params["stage"] = RcStage(cap, 1.0, params.get("U1", 0.0), env)
+        row["sigma_V"] = stage.noise_sigma
 
 
 def _charge(params: dict, env: PhysicalEnvironment, row: dict) -> None:
-    cap = params.get("C")
     swing = params.get("U1")
-    if cap is not None and swing is not None:
-        ledger = RcStage(cap, 1.0, swing, env).full_cycle_dissipation()
+    if "C" in params and swing is not None:
+        ledger = params["stage"].full_cycle_dissipation()
         row["e1_J"] = ledger.stored_after_charge
         row["e1_kT"] = env.joules_to_kt(ledger.stored_after_charge)
         row["cycle_J"] = ledger.total_dissipated
@@ -255,9 +257,8 @@ def _floors(params: dict, env: PhysicalEnvironment, row: dict) -> None:
 
 def _required_swing(params: dict, env: PhysicalEnvironment, row: dict) -> None:
     epsilon = params.get("epsilon")
-    cap = params.get("C")
-    if epsilon is not None and cap is not None:
-        need = required_swing(epsilon, RcStage(cap, 1.0, 0.0, env))
+    if epsilon is not None and "C" in params:
+        need = required_swing(epsilon, params["stage"])
         row["required_U1_V"] = need.swing_voltage
         row["required_E1_kT"] = need.energy_kt
 
@@ -281,7 +282,7 @@ def _tank(params: dict, env: PhysicalEnvironment, row: dict) -> None:
 # of the groups that read it, so only those groups run again.
 _GROUPS = (
     ({"T"}, _thermal, ("thermal_energy_J",)),
-    ({"T", "C"}, _sigma, ("sigma_V",)),
+    ({"T", "C", "U1"}, _sigma, ("sigma_V",)),
     ({"T", "C", "U1"}, _charge, (
         "e1_J", "e1_kT", "cycle_J", "cycle_kT", "epsilon_inst",
     )),

@@ -136,6 +136,13 @@ class TestTransient:
         with pytest.raises(ValueError):
             make_stage().transient_power(-1e-12)
 
+    @pytest.mark.parametrize(
+        "t", [math.nan, [0.0, math.nan, 1e-9]], ids=["scalar", "array"]
+    )
+    def test_nan_time_rejected(self, t):
+        with pytest.raises(ValueError, match="^transient time must be >= 0 s$"):
+            make_stage().transient_power(t)
+
 
 class TestQuadratureCrossCheck:
     def test_integral_matches_closed_form(self):

@@ -8,6 +8,7 @@ were cross-validated with a direct 2e6-trial simulation.
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,41 @@ class TestFirstPassageMc:
         assert result.n_observations == round(t_obs / 1e-10)
         assert result.hits == hits
 
+    def test_long_hold_pin_holds_on_two_threads(self, monkeypatch):
+        # 8 MiB chunks of 1047 paths of 1001 draws: 8192 trials make 8 chunks,
+        # the last one short, and two threads share them.
+        counts = []
+        chunk_hits = floors._chunk_hits
+
+        def recording(*args):
+            counts.append(args[6])
+            return chunk_hits(*args)
+
+        monkeypatch.setattr(floors, "_chunk_hits", recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        result = first_passage_mc(
+            make_stage(res=1e5), 4.0 * SIGMA_1FF_300K, 1e-7, trials=8192,
+            seed=12345, workers=2,
+        )
+        assert result.hits == 248
+        assert sorted(counts) == [863] + [1047] * 7
+
+    @pytest.mark.parametrize("t_obs, limit_mib", [(1e-7, 10), (1e-9, 0.5)])
+    def test_traced_peak_memory_is_bounded(self, t_obs, limit_mib):
+        # n_obs = 1000 holds one 8 MiB chunk (the 32 MiB chunk it replaced
+        # traced 31.4 MiB).  n_obs = 10 holds a 0.34 MiB chunk of 4096
+        # trials and a tile of one look; a tile of all 10 looks would add
+        # 0.31 MiB, more than the look-by-look loop's 0.48 MiB in all.
+        args = (make_stage(res=1e5), 4.0 * SIGMA_1FF_300K, t_obs)
+        first_passage_mc(*args, trials=10, seed=1)  # lazy imports and classes
+        tracemalloc.start()
+        try:
+            first_passage_mc(*args, trials=8192, seed=12345)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20
+
     def test_failed_layout_probe_falls_back_to_the_state_setter(self, monkeypatch):
         args = (make_stage(res=1e5), 3.0 * SIGMA_1FF_300K, 1e-9)
         fast = first_passage_mc(*args, trials=8192, seed=12345)
@@ -450,19 +486,27 @@ class TestFirstPassageMc:
         assert result.hits == 97
         assert sizes == [2]
 
-    def test_trials_consume_per_path_streams(self):
+    @pytest.mark.parametrize("n_obs", [1, 7, 31, 32, 33, 64, 100, 200])
+    def test_trials_consume_per_path_streams(self, monkeypatch, n_obs):
         # Trial i of the Monte Carlo must see exactly the path that
-        # stationary_path(seed, path_index=i) produces.
+        # stationary_path(seed, path_index=i) produces, across chunks of 10
+        # trials with a short last one, whose tiles hold min(32, n_obs) looks
+        # (the last tile short at 33, 100 and 200).  The threshold sits at
+        # the median path maximum (at least 0 V, as first_passage_mc
+        # requires), so an ulp of difference in a maximum near it would
+        # change the count.
+        monkeypatch.setattr(floors, "_MC_CHUNK_BYTES", 10 * 8 * (n_obs + 1))
         stage = make_stage()
         process = OuProcess.from_stage(stage)
-        threshold = 0.5 * SIGMA_1FF_300K
-        trials, n_obs, seed = 64, 7, 17
-        expected_hits = 0
-        for i in range(trials):
-            path = stationary_path(process, 1e-9, n_obs, seed=seed, path_index=i)
-            expected_hits += bool(np.any(path.samples > threshold))
+        trials, seed = 64, 17
+        peaks = [
+            stationary_path(process, 1e-9, n_obs, seed=seed, path_index=i).samples.max()
+            for i in range(trials)
+        ]
+        threshold = max(float(np.median(peaks)), 0.0)
+        expected_hits = sum(peak > threshold for peak in peaks)
         result = first_passage_mc(
-            stage, threshold, observation_time=7e-9, trials=trials, seed=seed
+            stage, threshold, observation_time=n_obs * 1e-9, trials=trials, seed=seed
         )
         assert result.n_observations == n_obs
         assert result.hits == expected_hits

@@ -6,7 +6,9 @@ import math
 
 import pytest
 
-from ktfloor import PhysicalEnvironment, SweepConfigError, SweepSpec, run_sweep
+from ktfloor import (
+    PhysicalEnvironment, RcStage, SweepConfigError, SweepSpec, run_sweep, sweep,
+)
 from ktfloor.sweep import _GROUPS, COLUMNS, MAX_POINTS, PARAMETERS, compute_rows
 from test_golden import VARIABLE_SWEEPS
 
@@ -276,6 +278,27 @@ class TestRowInvariantCells:
                 derive(params, env, row)
             expected.append(row)
         assert compute_rows(spec) == expected
+
+    @pytest.mark.parametrize("variable", ["C", "U1", "T", "epsilon"])
+    def test_groups_share_one_stage_per_row(self, tmp_path, monkeypatch, variable):
+        # sigma, the cycle energies and the required swing all read C; a row
+        # that re-derives any of them builds one stage, and a row that
+        # re-derives none of them builds none.
+        built = []
+
+        class CountingStage(RcStage):
+            def __post_init__(self):
+                built.append(self.capacitance)
+                super().__post_init__()
+
+        monkeypatch.setattr(sweep, "RcStage", CountingStage)
+        fixed = {"C": 1e-15, "U1": 0.5, "T": 300.0, "epsilon": 1e-9}
+        del fixed[variable]
+        spec = SweepSpec.from_config(base_config(
+            tmp_path, variable=variable, start=0.1, stop=0.4, points=5, fixed=fixed,
+        ))
+        compute_rows(spec)
+        assert len(built) == (1 if variable == "epsilon" else 5)
 
     @pytest.mark.parametrize(
         "variable, scale, start, stop, points, fixed, message",

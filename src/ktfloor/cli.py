@@ -21,8 +21,9 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 
-from . import __version__
+from . import __version__, floors
 from .audit import CLAIM_NEGLECTS, FollowerGate, audit_claim, run_cycle
 from .circuit import RcStage
 from .csvout import write_numeric_csv
@@ -30,7 +31,7 @@ from .floors import ErrorSpec, first_passage_mc, floor_long, floor_short
 from .noise import OuProcess, stationary_path
 from .quantities import ROOM_TEMPERATURE, PhysicalEnvironment
 from .sweep import DEFAULT_SEED, SweepConfigError, load_config, run_sweep
-from .tank import TankCircuit
+from .tank import MAX_RK4_STEPS, TankCircuit
 
 
 def _resolve_seed(args) -> int:
@@ -43,15 +44,6 @@ def _resolve_seed(args) -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"KTFLOOR_SEED must be an integer, got {raw!r}") from None
-
-
-def _refuse_infinite(args, *names: str) -> None:
-    """Refuse +inf energy options by name; the range checks refuse -inf and NaN."""
-    for name in names:
-        value = getattr(args, name)
-        if value == math.inf:
-            option = "--" + name.replace("_", "-")
-            raise ValueError(f"{option} must be finite, got {value!r}")
 
 
 def _report(args, payload: dict, text: tuple, **extra) -> None:
@@ -138,9 +130,6 @@ _CYCLE_TEXT = (
 
 
 def cmd_cycle(args) -> int:
-    _refuse_infinite(
-        args, "friction_per_transition", "friction_kt", "claimed", "claimed_kt"
-    )
     env = PhysicalEnvironment(temperature=args.temp)
     friction = args.friction_per_transition
     if args.friction_kt is not None:
@@ -295,7 +284,6 @@ _TANK_TEXT = (
 
 
 def cmd_tank(args) -> int:
-    _refuse_infinite(args, "e_switch_kt")
     env = PhysicalEnvironment(temperature=args.temp)
     tank = TankCircuit(
         c1=args.c1,
@@ -379,187 +367,107 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# One row per option: the commands it belongs to; its flag; a converter, a
+# tuple of choices, or bool for a switch; its default, ... for a required
+# option (a positional is always required); metavar; help; a group whose rows
+# are mutually exclusive within a command; and whether main refuses +inf by
+# the option's name (the range checks refuse -inf and NaN).
+_Option = namedtuple("_Option", "commands flag type default metavar help group finite",
+                     defaults=(None, None, "", None, False))
+_OPTIONS = (
+    _Option("floor cycle mc tank", "--temp", float, ROOM_TEMPERATURE, "K",
+            "bath temperature in kelvin (default %(default)s)"),
+    _Option("floor cycle mc tank", "--json", bool, help="emit JSON"),
+    _Option("floor", "--epsilon", float, ..., "EPS",
+            "target error probability, open interval (0, 0.5)"),
+    _Option("floor", "--t-obs", float, None, "S",
+            "state-holding time for the long floor (needs --tau)"),
+    _Option("floor", "--tau", float, None, "S",
+            "noise correlation time RC for the long floor (needs --t-obs)"),
+    _Option("cycle mc", "--cap", float, ..., "F",
+            "gate input (cycle) or node (mc) capacitance in farads"),
+    _Option("cycle", "--swing", float, ..., "V", "logic swing U1 in volts"),
+    _Option("cycle", "--res", float, 1.0, "OHM",
+            "switch on-resistance (does not change the cycle energies)"),
+    _Option("cycle", "--friction-per-transition", float, 0.0, "J",
+            "internal switch loss per transition, joules (default %(default)s)",
+            "friction", True),
+    _Option("cycle", "--friction-kt", float, None, "KT",
+            "internal switch loss per transition, kT units", "friction", True),
+    _Option("cycle", "--threshold-fraction", float, 0.5, "FRAC",
+            "decision threshold as a fraction of the swing (default %(default)s)"),
+    _Option("cycle", "--claimed", float, None, "J",
+            "claimed per-operation energy to audit, joules", "claim", True),
+    _Option("cycle", "--claimed-kt", float, None, "KT",
+            "claimed per-operation energy to audit, kT units", "claim", True),
+    _Option("cycle", "--accounting", ("cycle", "op"), "cycle", None,
+            "report energies per full cycle or per operation (half cycle)"),
+    _Option("cycle", "--strict", bool,
+            help="exit 3 if the claimed energy neglects input charging"),
+    _Option("mc", "--res", float, ..., "OHM",
+            "node resistance in ohms (sets tau = RC)"),
+    _Option("mc", "--threshold-sigma", float, ..., "X",
+            "threshold in units of the stationary noise sigma"),
+    _Option("mc", "--t-obs", float, ..., "S", "observation window; one "
+            f"observation per tau, at most {floors.MAX_MC_OBSERVATIONS}"),
+    _Option("mc", "--trials", int, 100000, "N", "Monte Carlo trials (default "
+            "%(default)s); trials x (observations + 1) must be at most "
+            f"{floors.MAX_MC_DRAWS:.0e}"),
+    _Option("mc", "--seed", int, None, "N",
+            f"master seed (default: KTFLOOR_SEED env var, else {DEFAULT_SEED})"),
+    _Option("mc", "--workers", int, 1, "N",
+            "worker threads; results are identical for any value"),
+    _Option("mc", "--dump-path", str, None, "FILE",
+            "write one sampled noise path as CSV columns (t, V)"),
+    _Option("tank", "--inductance", float, ..., "H", "tank inductance in henries"),
+    _Option("tank", "--c1", float, ..., "F", "source capacitance in farads"),
+    _Option("tank", "--c2", float, ..., "F", "destination capacitance in farads"),
+    _Option("tank", "--resistance", float, 0.0, "OHM",
+            "series loop resistance (default %(default)s: ideal tank)"),
+    _Option("tank", "--v0", float, ..., "V", "initial voltage on C1"),
+    _Option("tank", "--e-switch-kt", float, None, "KT",
+            "control energy per steering switch event, kT units", finite=True),
+    _Option("tank", "--n-switches", int, 2, "N",
+            "steering switch events per transfer (default %(default)s, minimum 2)"),
+    _Option("tank", "--simulate", bool,
+            help="cross-check the closed form with fixed-step RK4"),
+    _Option("tank", "--dt", float, None, "S", "RK4 step; must be <= "
+            "sqrt(L*min(C1,C2))/100 and coarse enough for at most "
+            f"{MAX_RK4_STEPS} steps over both phases"),
+    _Option("tank", "--dump-waveform", str, None, "FILE",
+            "write the RK4 waveform as CSV (t, v_c1, i_l, v_c2, e_loss)"),
+    _Option("sweep", "config", str, None, "CONFIG.json", "sweep configuration file"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ktfloor",
-        description=(
-            "Thermal-noise energy floors for voltage-controlled logic: "
-            "cycle energetics, error floors, first-passage Monte Carlo, and "
-            "LC recycling break-even."
-        ),
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"ktfloor {__version__}"
-    )
+    parser = argparse.ArgumentParser(prog="ktfloor", description="Thermal-noise energy "
+        "floors for voltage-controlled logic: cycle energetics, error floors, "
+        "first-passage Monte Carlo, and LC recycling break-even.")
+    parser.add_argument("--version", action="version", version=f"ktfloor {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--temp", type=float, default=ROOM_TEMPERATURE, metavar="K",
-        help="bath temperature in kelvin (default 300)",
-    )
-    common.add_argument("--json", action="store_true", help="emit JSON")
-
-    p_floor = sub.add_parser(
-        "floor", parents=[common],
-        help="dissipation floors for a target error probability",
-    )
-    p_floor.add_argument(
-        "--epsilon", type=float, required=True, metavar="EPS",
-        help="target error probability, open interval (0, 0.5)",
-    )
-    p_floor.add_argument(
-        "--t-obs", type=float, default=None, metavar="S",
-        help="state-holding time for the long floor (needs --tau)",
-    )
-    p_floor.add_argument(
-        "--tau", type=float, default=None, metavar="S",
-        help="noise correlation time RC for the long floor (needs --t-obs)",
-    )
-    p_floor.set_defaults(handler=cmd_floor)
-
-    p_cycle = sub.add_parser(
-        "cycle", parents=[common], help="full-cycle energy audit of a follower gate"
-    )
-    p_cycle.add_argument(
-        "--cap", type=float, required=True, metavar="F",
-        help="input capacitance in farads",
-    )
-    p_cycle.add_argument(
-        "--swing", type=float, required=True, metavar="V",
-        help="logic swing U1 in volts",
-    )
-    p_cycle.add_argument(
-        "--res", type=float, default=1.0, metavar="OHM",
-        help="switch on-resistance (does not change the cycle energies)",
-    )
-    friction = p_cycle.add_mutually_exclusive_group()
-    friction.add_argument(
-        "--friction-per-transition", type=float, default=0.0, metavar="J",
-        help="internal switch loss per transition, joules (default 0)",
-    )
-    friction.add_argument(
-        "--friction-kt", type=float, default=None, metavar="KT",
-        help="internal switch loss per transition, kT units",
-    )
-    p_cycle.add_argument(
-        "--threshold-fraction", type=float, default=0.5, metavar="FRAC",
-        help="decision threshold as a fraction of the swing (default 0.5)",
-    )
-    claim = p_cycle.add_mutually_exclusive_group()
-    claim.add_argument(
-        "--claimed", type=float, default=None, metavar="J",
-        help="claimed per-operation energy to audit, joules",
-    )
-    claim.add_argument(
-        "--claimed-kt", type=float, default=None, metavar="KT",
-        help="claimed per-operation energy to audit, kT units",
-    )
-    p_cycle.add_argument(
-        "--accounting", choices=("cycle", "op"), default="cycle",
-        help="report energies per full cycle or per operation (half cycle)",
-    )
-    p_cycle.add_argument(
-        "--strict", action="store_true",
-        help="exit 3 if the claimed energy neglects input charging",
-    )
-    p_cycle.set_defaults(handler=cmd_cycle)
-
-    p_mc = sub.add_parser(
-        "mc", parents=[common], help="Monte Carlo first-passage error estimate"
-    )
-    p_mc.add_argument(
-        "--cap", type=float, required=True, metavar="F",
-        help="node capacitance in farads",
-    )
-    p_mc.add_argument(
-        "--res", type=float, required=True, metavar="OHM",
-        help="node resistance in ohms (sets tau = RC)",
-    )
-    p_mc.add_argument(
-        "--threshold-sigma", type=float, required=True, metavar="X",
-        help="threshold in units of the stationary noise sigma",
-    )
-    p_mc.add_argument(
-        "--t-obs", type=float, required=True, metavar="S",
-        help="observation window; one observation per tau, at most 4194303",
-    )
-    p_mc.add_argument(
-        "--trials", type=int, default=100000, metavar="N",
-        help=(
-            "Monte Carlo trials (default 100000); trials x (observations + 1) "
-            "must be at most 10**10"
-        ),
-    )
-    p_mc.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="master seed (default: KTFLOOR_SEED env var, else 12345)",
-    )
-    p_mc.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker threads; results are identical for any value",
-    )
-    p_mc.add_argument(
-        "--dump-path", default=None, metavar="FILE",
-        help="write one sampled noise path as CSV columns (t, V)",
-    )
-    p_mc.set_defaults(handler=cmd_mc)
-
-    p_tank = sub.add_parser(
-        "tank", parents=[common], help="LC recycling transfer efficiency and break-even"
-    )
-    p_tank.add_argument(
-        "--inductance", type=float, required=True, metavar="H",
-        help="tank inductance in henries",
-    )
-    p_tank.add_argument(
-        "--c1", type=float, required=True, metavar="F",
-        help="source capacitance in farads",
-    )
-    p_tank.add_argument(
-        "--c2", type=float, required=True, metavar="F",
-        help="destination capacitance in farads",
-    )
-    p_tank.add_argument(
-        "--resistance", type=float, default=0.0, metavar="OHM",
-        help="series loop resistance (default 0: ideal tank)",
-    )
-    p_tank.add_argument(
-        "--v0", type=float, required=True, metavar="V",
-        help="initial voltage on C1",
-    )
-    p_tank.add_argument(
-        "--e-switch-kt", type=float, default=None, metavar="KT",
-        help="control energy per steering switch event, kT units",
-    )
-    p_tank.add_argument(
-        "--n-switches", type=int, default=2, metavar="N",
-        help="steering switch events per transfer (default 2, minimum 2)",
-    )
-    p_tank.add_argument(
-        "--simulate", action="store_true",
-        help="cross-check the closed form with fixed-step RK4",
-    )
-    p_tank.add_argument(
-        "--dt", type=float, default=None, metavar="S",
-        help=(
-            "RK4 step; must be <= sqrt(L*min(C1,C2))/100 and coarse enough "
-            "for at most 10**6 steps over both phases"
-        ),
-    )
-    p_tank.add_argument(
-        "--dump-waveform", default=None, metavar="FILE",
-        help="write the RK4 waveform as CSV (t, v_c1, i_l, v_c2, e_loss)",
-    )
-    p_tank.set_defaults(handler=cmd_tank)
-
-    p_sweep = sub.add_parser(
-        "sweep", help="one-variable parameter sweep to CSV + manifest"
-    )
-    p_sweep.add_argument(
-        "config", metavar="CONFIG.json", help="sweep configuration file"
-    )
-    p_sweep.set_defaults(handler=cmd_sweep)
-
+    for name, handler, text in (
+        ("floor", cmd_floor, "dissipation floors for a target error probability"),
+        ("cycle", cmd_cycle, "full-cycle energy audit of a follower gate"),
+        ("mc", cmd_mc, "Monte Carlo first-passage error estimate"),
+        ("tank", cmd_tank, "LC recycling transfer efficiency and break-even"),
+        ("sweep", cmd_sweep, "one-variable parameter sweep to CSV + manifest"),
+    ):
+        sub.add_parser(name, help=text).set_defaults(handler=handler)
+    groups = {}
+    for opt in _OPTIONS:
+        kwargs = {"action": "store_true"} if opt.type is bool else {
+            "choices" if isinstance(opt.type, tuple) else "type": opt.type,
+            "default": opt.default, "metavar": opt.metavar}
+        if opt.default is ...:
+            kwargs.update(required=True, default=None)
+        for name in opt.commands.split():
+            command = sub.choices[name]
+            # Groups are made lazily: argparse cannot format an empty one.
+            if opt.group and (name, opt.group) not in groups:
+                groups[name, opt.group] = command.add_mutually_exclusive_group()
+            target = groups.get((name, opt.group), command)
+            target.add_argument(opt.flag, help=opt.help, **kwargs)
     return parser
 
 
@@ -570,6 +478,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:
+        for opt in _OPTIONS:
+            value = getattr(args, opt.flag.lstrip("-").replace("-", "_"), None)
+            if opt.finite and value == math.inf:
+                raise ValueError(f"{opt.flag} must be finite, got {value!r}")
         return args.handler(args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -219,9 +219,6 @@ def required_swing(epsilon_target: float, stage: RcStage) -> SwingRequirement:
             "epsilon_target must lie in the open interval (0, 0.5), "
             f"got {epsilon_target!r}"
         )
-    kt = stage.env.thermal_energy()
-    if kt == 0.0:
-        raise ValueError("required_swing needs a positive-temperature bath")
     u1 = 2.0 * stage.noise_sigma * tail_quantile(epsilon_target)
     e1 = 0.5 * stage.capacitance * u1**2
     return SwingRequirement(
@@ -333,7 +330,10 @@ def first_passage_mc(
     sigma = process.stationary_sigma
     tau = process.correlation_time
     if sigma == 0.0:
-        raise ValueError("first_passage_mc needs a positive-temperature bath")
+        raise ValueError(
+            "noise sigma = sqrt(kT/C) underflows to 0 V at "
+            f"C = {stage.capacitance!r} F"
+        )
     require("threshold", threshold, "V", ge=0)
     require("trials", trials, ge=1)
     require("workers", workers, ge=1)

@@ -184,8 +184,8 @@ def path_generator(
 class OuProcess:
     """Stationary OU parameters: sigma = sqrt(kT/C) volts, tau = RC seconds.
 
-    ``stationary_sigma`` is 0 only for a zero-temperature bath, in which case
-    paths decay deterministically.
+    ``stationary_sigma`` is 0 only when kT/C underflows (a huge C), in which
+    case paths decay deterministically.
     """
 
     stationary_sigma: float

@@ -40,43 +40,29 @@ def require(name, value, unit="", *, gt=None, ge=None, finite=True):
 class PhysicalEnvironment:
     """Thermal bath shared by every circuit calculation.
 
-    ``temperature`` is in kelvin.  Zero temperature switches off thermal noise
-    entirely and is useful only for deterministic-decay checks, so it must be
-    requested explicitly via ``allow_zero_temperature``; negative and
-    non-finite temperatures are always rejected.  Instances are frozen and
-    safe to share across threads.
+    ``temperature`` is in kelvin.  It must give a positive, finite kT, so
+    zero, negative and non-finite temperatures are refused, and so is one so
+    small that kT underflows to 0 J.  Instances are frozen and safe to share
+    across threads.
     """
 
     temperature: float = ROOM_TEMPERATURE
-    boltzmann_constant: float = BOLTZMANN_CONSTANT
-    allow_zero_temperature: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.temperature >= 0.0 and math.isfinite(self.temperature)):
+        if not 0.0 < self.thermal_energy() < math.inf:
             raise ValueError(
-                f"temperature must be finite and >= 0 K, got {self.temperature!r}"
+                "temperature must be finite and give kT > 0 J, "
+                f"got {self.temperature!r} K"
             )
-        if self.temperature == 0.0 and not self.allow_zero_temperature:
-            raise ValueError(
-                "temperature is 0 K; pass allow_zero_temperature=True if a "
-                "noiseless bath is intended"
-            )
-        require("boltzmann_constant", self.boltzmann_constant, "J/K", gt=0)
 
     def thermal_energy(self) -> float:
         """k_B * T in joules."""
-        return self.boltzmann_constant * self.temperature
+        return BOLTZMANN_CONSTANT * self.temperature
 
     def kt_to_joules(self, energy_kt: float) -> float:
         """Convert an energy expressed in kT units to joules."""
         return energy_kt * self.thermal_energy()
 
     def joules_to_kt(self, energy_joule: float) -> float:
-        """Convert an energy in joules to kT units.
-
-        Undefined at 0 K (division by zero thermal energy) and raises there.
-        """
-        scale = self.thermal_energy()
-        if scale == 0.0:
-            raise ValueError("kT units are undefined at 0 K")
-        return energy_joule / scale
+        """Convert an energy in joules to kT units."""
+        return energy_joule / self.thermal_energy()

@@ -147,12 +147,9 @@ class TestRunCycle:
         assert report.verdict_total == VERDICT_AT_OR_ABOVE_FLOOR
 
     def test_zero_temperature_bath_rejected(self):
-        cold_stage = RcStage(
-            1e-15, 1e6, 24.08e-3,
-            PhysicalEnvironment(temperature=0.0, allow_zero_temperature=True),
-        )
-        with pytest.raises(ValueError):
-            run_cycle(FollowerGate(stage=cold_stage))
+        # The bath is refused where it is built, so no gate can reach the audit.
+        with pytest.raises(ValueError, match="kT > 0 J"):
+            RcStage(1e-15, 1e6, 24.08e-3, PhysicalEnvironment(temperature=0.0))
 
 
 class TestAuditClaim:

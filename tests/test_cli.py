@@ -2,10 +2,14 @@
 
 import json
 import math
+import re
 
 import pytest
 
-from ktfloor.cli import main
+from ktfloor.cli import _OPTIONS, main
+from ktfloor.floors import MAX_MC_DRAWS, MAX_MC_OBSERVATIONS
+from ktfloor.sweep import DEFAULT_SEED
+from ktfloor.tank import MAX_RK4_STEPS
 
 
 @pytest.fixture(autouse=True)
@@ -63,6 +67,16 @@ class TestFloorCommand:
         )
         assert (code, out) == (2, "")
         assert err == "error: t_o/tau overflows for t_o=1e+308 s, tau=1e-300 s\n"
+
+    @pytest.mark.parametrize("temp", ["0", "5e-324"])
+    def test_temperature_without_positive_kt_is_refused(self, capsys, temp):
+        # 5e-324 K is positive, but kT underflows to 0 J.
+        code, out, err = run_cli(capsys, "floor", "--epsilon", "1e-9", "--temp", temp)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: temperature must be finite and give kT > 0 J, "
+            f"got {float(temp)!r} K\n"
+        )
 
     def test_half_specified_long_floor_rejected(self, capsys):
         code, _, err = run_cli(capsys, "floor", "--epsilon", "1e-9", "--tau", "1e-9")
@@ -311,6 +325,16 @@ class TestMcCommand:
         )
         assert (code, out) == (2, "")
         assert err == "error: threshold must be finite, got inf\n"
+
+    def test_underflowing_sigma_names_sigma_and_capacitance(self, capsys):
+        code, out, err = run_cli(
+            capsys, "mc", "--cap", "1.7e308", "--res", "1e-310",
+            "--threshold-sigma", "3", "--t-obs", "1e-1", "--trials", "10",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: noise sigma = sqrt(kT/C) underflows to 0 V at C = 1.7e+308 F\n"
+        )
 
     def test_window_shorter_than_tau_is_domain_error(self, capsys):
         code, _, err = run_cli(
@@ -572,3 +596,63 @@ class TestTopLevel:
         code, _, _ = run_cli(capsys, "melt")
         assert code == 2
 
+
+
+# A valid value for every required option and positional of each command.
+REQUIRED_ARGS = {
+    "floor": {"--epsilon": "1e-9"},
+    "cycle": {"--cap": "1e-15", "--swing": "0.5"},
+    "mc": {
+        "--cap": "1e-15", "--res": "1e6", "--threshold-sigma": "2", "--t-obs": "1e-8"
+    },
+    "tank": {"--inductance": "1e-6", "--c1": "1e-12", "--c2": "1e-12", "--v0": "1"},
+    "sweep": {"config": "sweep.json"},
+}
+
+
+def declared(command):
+    return [opt for opt in _OPTIONS if command in opt.commands.split()]
+
+
+def shown_name(opt):
+    return opt.flag if opt.flag.startswith("-") else opt.metavar
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", REQUIRED_ARGS)
+    def test_help_lists_every_declared_option(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        listed = set(re.findall(r"^  (\S+)", out, re.MULTILINE)) - {"-h,"}
+        assert listed == {shown_name(opt) for opt in declared(command)}
+
+    @pytest.mark.parametrize("command", REQUIRED_ARGS)
+    def test_required_options_match_the_table(self, command):
+        required = {
+            opt.flag for opt in declared(command)
+            if opt.default is ... or not opt.flag.startswith("-")
+        }
+        assert required == set(REQUIRED_ARGS[command])
+
+    @pytest.mark.parametrize(
+        "command, omitted",
+        [(command, flag) for command, args in REQUIRED_ARGS.items() for flag in args],
+    )
+    def test_omitted_required_option_is_named(self, capsys, command, omitted):
+        argv = [command]
+        for flag, value in REQUIRED_ARGS[command].items():
+            if flag != omitted:
+                argv += [flag, value] if flag.startswith("-") else [value]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        (opt,) = [opt for opt in declared(command) if opt.flag == omitted]
+        assert "the following arguments are required: " + shown_name(opt) in err
+
+    def test_help_renders_limits_from_their_constants(self, capsys):
+        # Joined into one line, so argparse's wrapping cannot split a phrase.
+        mc_help = " ".join(run_cli(capsys, "mc", "--help")[1].split())
+        tank_help = " ".join(run_cli(capsys, "tank", "--help")[1].split())
+        assert f"at most {MAX_MC_OBSERVATIONS}" in mc_help
+        assert f"at most {MAX_MC_DRAWS:.0e}" in mc_help
+        assert f"else {DEFAULT_SEED})" in mc_help
+        assert f"at most {MAX_RK4_STEPS} steps" in tank_help

@@ -267,12 +267,6 @@ class TestRequiredSwing:
             required_swing(0.5, make_stage())
         with pytest.raises(ValueError):
             required_swing(0.0, make_stage())
-        cold = RcStage(
-            1e-15, 1e6, 0.0,
-            PhysicalEnvironment(temperature=0.0, allow_zero_temperature=True),
-        )
-        with pytest.raises(ValueError):
-            required_swing(1e-9, cold)
 
 
 class TestObservationCount:
@@ -585,9 +579,10 @@ class TestFirstPassageMc:
             first_passage_mc(
                 stage, math.inf, observation_time=1e-8, trials=10, seed=1
             )
-        cold = RcStage(
-            1e-15, 1e6, 0.0,
-            PhysicalEnvironment(temperature=0.0, allow_zero_temperature=True),
+        # kT/C underflows, so sigma = sqrt(kT/C) is 0 at room temperature.
+        huge = make_stage(cap=1.7e308, res=1e-310)
+        with pytest.raises(ValueError) as info:
+            first_passage_mc(huge, 0.0, observation_time=1e-1, trials=10, seed=1)
+        assert str(info.value) == (
+            "noise sigma = sqrt(kT/C) underflows to 0 V at C = 1.7e+308 F"
         )
-        with pytest.raises(ValueError):
-            first_passage_mc(cold, 1e-3, observation_time=1e-8, trials=10, seed=1)

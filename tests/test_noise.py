@@ -46,12 +46,9 @@ class TestConstruction:
             2.0 * SIGMA_1FF_300K, rel=1e-12
         )
 
-    def test_zero_temperature_gives_zero_sigma(self):
-        cold = RcStage(
-            1e-15, 1e6, 0.0,
-            PhysicalEnvironment(temperature=0.0, allow_zero_temperature=True),
-        )
-        assert OuProcess.from_stage(cold).stationary_sigma == 0.0
+    def test_underflowing_kt_over_c_gives_zero_sigma(self):
+        huge = RcStage(1.7e308, 1e-310, 0.0, ENV300)
+        assert OuProcess.from_stage(huge).stationary_sigma == 0.0
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

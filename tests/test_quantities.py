@@ -26,18 +26,15 @@ def test_one_joule_temperature():
     assert env.thermal_energy() == pytest.approx(1.0, rel=1e-12)
 
 
-def test_zero_temperature_requires_flag():
-    with pytest.raises(ValueError):
+def test_zero_temperature_rejected():
+    with pytest.raises(ValueError) as info:
         PhysicalEnvironment(temperature=0.0)
-    env = PhysicalEnvironment(temperature=0.0, allow_zero_temperature=True)
-    assert env.thermal_energy() == 0.0
+    assert str(info.value) == "temperature must be finite and give kT > 0 J, got 0.0 K"
 
 
 def test_negative_temperature_rejected():
     with pytest.raises(ValueError):
         PhysicalEnvironment(temperature=-1.0)
-    with pytest.raises(ValueError):
-        PhysicalEnvironment(temperature=-1.0, allow_zero_temperature=True)
 
 
 @pytest.mark.parametrize("temperature", [math.inf, math.nan])
@@ -46,15 +43,12 @@ def test_non_finite_temperature_rejected(temperature):
         PhysicalEnvironment(temperature=temperature)
 
 
-def test_nonpositive_boltzmann_rejected():
-    with pytest.raises(ValueError):
-        PhysicalEnvironment(temperature=300.0, boltzmann_constant=0.0)
-
-
 def test_kt_units_undefined_at_zero_temperature():
-    env = PhysicalEnvironment(temperature=0.0, allow_zero_temperature=True)
-    with pytest.raises(ValueError):
-        env.joules_to_kt(1e-21)
+    # 5e-324 K is positive, but kT underflows to 0 J, so kT units would be
+    # undefined; the bath is refused before any conversion can divide by 0.
+    assert BOLTZMANN_CONSTANT * 5e-324 == 0.0
+    with pytest.raises(ValueError, match="give kT > 0 J, got 5e-324 K"):
+        PhysicalEnvironment(temperature=5e-324)
 
 
 def test_conversion_examples():

@@ -117,30 +117,20 @@ def run_cycle(gate: FollowerGate) -> AuditReport:
     threshold = gate.threshold_fraction * gate.stage.swing_voltage
     epsilon = instantaneous_error_prob(threshold, sigma)
 
-    if epsilon == 0.0:
-        # The swing is so large (beyond ~38 sigma) that epsilon underflows
-        # double precision; the floor is still finite in log space.
-        floor_kt: float | None = -log_tail_probability(threshold / sigma)
-        floor_joule: float | None = floor_kt * kt
-        verdict_total = (
-            VERDICT_BELOW_FLOOR
-            if e_total < floor_joule
-            else VERDICT_AT_OR_ABOVE_FLOOR
+    floor_joule = floor_kt = None
+    verdict_total = VERDICT_NOT_APPLICABLE
+    # At zero swing epsilon is 0.5, a fair coin, and no floor applies.  Past
+    # ~38 sigma epsilon underflows to 0.0, and the floor comes from log space.
+    if epsilon < 0.5:
+        floor_kt = (
+            floor_short(ErrorSpec(epsilon=epsilon), env).floor_kt
+            if epsilon > 0.0
+            else -log_tail_probability(threshold / sigma)
         )
-    elif epsilon < 0.5:
-        floor = floor_short(ErrorSpec(epsilon=epsilon), env)
-        floor_joule = floor.floor_joule
-        floor_kt = floor.floor_kt
+        floor_joule = env.kt_to_joules(floor_kt)
         verdict_total = (
-            VERDICT_BELOW_FLOOR
-            if e_total < floor.floor_joule
-            else VERDICT_AT_OR_ABOVE_FLOOR
+            VERDICT_BELOW_FLOOR if e_total < floor_joule else VERDICT_AT_OR_ABOVE_FLOOR
         )
-    else:
-        # Zero swing: the "gate" is a fair coin and no floor constrains it.
-        floor_joule = None
-        floor_kt = None
-        verdict_total = VERDICT_NOT_APPLICABLE
 
     verdict_friction = (
         VERDICT_SUB_KT

@@ -29,7 +29,7 @@ from .circuit import RcStage
 from .csvout import write_numeric_csv
 from .floors import ErrorSpec, first_passage_mc, floor_long, floor_short
 from .noise import OuProcess, stationary_path
-from .quantities import ROOM_TEMPERATURE, PhysicalEnvironment
+from .quantities import ROOM_TEMPERATURE, PhysicalEnvironment, require
 from .sweep import DEFAULT_SEED, SweepConfigError, load_config, run_sweep
 from .tank import MAX_RK4_STEPS, TankCircuit
 
@@ -285,6 +285,11 @@ _TANK_TEXT = (
 
 def cmd_tank(args) -> int:
     env = PhysicalEnvironment(temperature=args.temp)
+    run_rk4 = args.simulate or args.dump_waveform is not None
+    if args.dt is not None and not run_rk4:
+        raise ValueError("--dt needs --simulate or --dump-waveform")
+    # Checked even without --e-switch-kt, the only option that reads it.
+    require("--n-switches", args.n_switches, ge=2)
     tank = TankCircuit(
         c1=args.c1,
         c2=args.c2,
@@ -294,7 +299,7 @@ def cmd_tank(args) -> int:
     )
     closed = tank.transfer_efficiency()
     rk4 = rk4_gap = None
-    if args.simulate or args.dump_waveform is not None:
+    if run_rk4:
         if closed.efficiency == 0.0:
             raise ValueError("closed-form efficiency is 0; the RK4 gap is undefined")
         rk4 = tank.simulate_transfer(dt=args.dt, record=args.dump_waveform is not None)
@@ -431,7 +436,8 @@ _OPTIONS = (
             "steering switch events per transfer (default %(default)s, minimum 2)"),
     _Option("tank", "--simulate", bool,
             help="cross-check the closed form with fixed-step RK4"),
-    _Option("tank", "--dt", float, None, "S", "RK4 step; must be <= "
+    _Option("tank", "--dt", float, None, "S", "RK4 step (needs --simulate or "
+            "--dump-waveform); must be <= "
             "sqrt(L*min(C1,C2))/100 and coarse enough for at most "
             f"{MAX_RK4_STEPS} steps over both phases"),
     _Option("tank", "--dump-waveform", str, None, "FILE",

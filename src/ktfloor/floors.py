@@ -357,24 +357,18 @@ def first_passage_mc(
     jobs = [
         (start, min(rows, trials - start)) for start in range(0, trials, rows)
     ]
+
+    def chunk(job: tuple[int, int]) -> int:
+        return _chunk_hits(a, b, sigma, threshold, seed, *job, n_obs)
+
     # Each thread holds one chunk, about _MC_CHUNK_BYTES, so the pool never
     # exceeds the chunk or core count, whatever ``workers`` asks for.
     pool_size = min(workers, len(jobs), os.cpu_count() or 1)
     if pool_size == 1:
-        hits = sum(
-            _chunk_hits(a, b, sigma, threshold, seed, start, count, n_obs)
-            for start, count in jobs
-        )
+        hits = sum(map(chunk, jobs))
     else:
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            hits = sum(
-                pool.map(
-                    lambda job: _chunk_hits(
-                        a, b, sigma, threshold, seed, job[0], job[1], n_obs
-                    ),
-                    jobs,
-                )
-            )
+            hits = sum(pool.map(chunk, jobs))
 
     epsilon_hat = hits / trials
     std_err = math.sqrt(epsilon_hat * (1.0 - epsilon_hat) / trials)

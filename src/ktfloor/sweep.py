@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,6 +52,25 @@ class SweepConfigError(ValueError):
     """A sweep config that names what is wrong and where."""
 
 
+def _is(value, types) -> bool:
+    """Whether ``value`` is one of the JSON ``types``; a bool is never a number."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+# Each config field: its SweepSpec attribute, the types it takes, and their
+# JSON name.  "fixed" and "seed" are optional.
+_FIELDS = {
+    "variable": ("variable", str, "a string"),
+    "scale": ("scale", str, "a string"),
+    "start": ("start", (int, float), "a number"),
+    "stop": ("stop", (int, float), "a number"),
+    "points": ("points", int, "an integer"),
+    "output": ("output_path", str, "a string"),
+    "fixed": ("fixed", dict, "an object"),
+    "seed": ("seed", int, "an integer"),
+}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Validated description of one sweep.
@@ -60,7 +78,8 @@ class SweepSpec:
     ``variable`` is one of PARAMETERS; ``fixed`` maps other parameter names
     (plus optionally ``n_switches``) to finite values.  ``e_switch`` is
     denominated in kT — it is a technology figure, not a bath-dependent joule
-    count.
+    count.  Every field is checked here, so a spec built directly is checked
+    as one read from a config; ``start`` and ``stop`` are stored as floats.
     """
 
     variable: str
@@ -73,6 +92,12 @@ class SweepSpec:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
+        for name, (attribute, types, kind) in _FIELDS.items():
+            value = getattr(self, attribute)
+            if not _is(value, types):
+                raise SweepConfigError(f"field {name!r}: must be {kind}, got {value!r}")
+        # A copy, so the caller's dict cannot change a checked spec.
+        object.__setattr__(self, "fixed", dict(self.fixed))
         if self.variable not in PARAMETERS:
             raise SweepConfigError(
                 f"field 'variable': unknown parameter {self.variable!r}; "
@@ -82,8 +107,12 @@ class SweepSpec:
             raise SweepConfigError(
                 f"field 'scale': must be 'linear' or 'log', got {self.scale!r}"
             )
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+        # An int compares exactly, so one past the float range is refused
+        # here rather than overflowing in float().
+        if not all(abs(v) <= sys.float_info.max for v in (self.start, self.stop)):
             raise SweepConfigError("fields 'start'/'stop': must be finite numbers")
+        object.__setattr__(self, "start", float(self.start))
+        object.__setattr__(self, "stop", float(self.stop))
         if not self.start < self.stop:
             raise SweepConfigError(
                 f"field 'start': must be < 'stop', got {self.start!r} >= {self.stop!r}"
@@ -97,10 +126,8 @@ class SweepSpec:
                 f"field 'points': need 2 to {MAX_POINTS} grid points, "
                 f"got {self.points!r}"
             )
-        if not isinstance(self.fixed, dict):
-            raise SweepConfigError("field 'fixed': must be an object")
         allowed = set(PARAMETERS) | set(_EXTRA_FIXED)
-        for key in self.fixed:
+        for key, value in self.fixed.items():
             if key not in allowed:
                 raise SweepConfigError(
                     f"field 'fixed': unknown parameter {key!r}; "
@@ -111,17 +138,14 @@ class SweepSpec:
                     f"field 'fixed': {key!r} is the sweep variable and cannot "
                     "also be fixed"
                 )
-            value = self.fixed[key]
             if key in _EXTRA_FIXED:
                 # A whole-number float such as 3.0 counts as the integer 3.
-                if isinstance(value, bool) or not (
-                    isinstance(value, int)
-                    or (isinstance(value, float) and value.is_integer())
-                ):
+                whole = isinstance(value, float) and value.is_integer()
+                if not (whole or _is(value, int)):
                     raise SweepConfigError(
                         f"field 'fixed': {key!r} must be an integer, got {value!r}"
                     )
-            elif not isinstance(value, (int, float)) or isinstance(value, bool):
+            elif not _is(value, (int, float)):
                 raise SweepConfigError(
                     f"field 'fixed': {key!r} must be a number, got {value!r}"
                 )
@@ -139,58 +163,13 @@ class SweepSpec:
         """Build a spec from a parsed JSON config object."""
         if not isinstance(config, dict):
             raise SweepConfigError("config root must be a JSON object")
-        required = ("variable", "scale", "start", "stop", "points", "output")
-        for name in required:
-            if name not in config:
+        for name in _FIELDS:
+            if name not in config and name not in ("fixed", "seed"):
                 raise SweepConfigError(f"field {name!r}: missing")
-        known = set(required) | {"fixed", "seed"}
         for name in config:
-            if name not in known:
+            if name not in _FIELDS:
                 raise SweepConfigError(f"field {name!r}: unexpected")
-        try:
-            points = operator.index(config["points"])
-        except TypeError:
-            raise SweepConfigError(
-                f"field 'points': must be an integer, got {config['points']!r}"
-            ) from None
-        try:
-            seed = operator.index(config.get("seed", DEFAULT_SEED))
-        except TypeError:
-            raise SweepConfigError(
-                f"field 'seed': must be an integer, got {config['seed']!r}"
-            ) from None
-        for name in ("start", "stop"):
-            if not isinstance(config[name], (int, float)) or isinstance(
-                config[name], bool
-            ):
-                raise SweepConfigError(
-                    f"field {name!r}: must be a number, got {config[name]!r}"
-                )
-        if not isinstance(config["variable"], str):
-            raise SweepConfigError("field 'variable': must be a string")
-        if not isinstance(config["scale"], str):
-            raise SweepConfigError("field 'scale': must be a string")
-        if not isinstance(config["output"], str):
-            raise SweepConfigError("field 'output': must be a string")
-        try:
-            start, stop = float(config["start"]), float(config["stop"])
-        except OverflowError:
-            raise SweepConfigError(
-                "fields 'start'/'stop': must be finite numbers"
-            ) from None
-        fixed = config.get("fixed", {})
-        if not isinstance(fixed, dict):
-            raise SweepConfigError(f"field 'fixed': must be an object, got {fixed!r}")
-        return cls(
-            variable=config["variable"],
-            scale=config["scale"],
-            start=start,
-            stop=stop,
-            points=points,
-            output_path=config["output"],
-            fixed=dict(fixed),
-            seed=seed,
-        )
+        return cls(**{_FIELDS[name][0]: value for name, value in config.items()})
 
     def grid(self) -> np.ndarray:
         """The swept values, ascending, endpoints exact."""

@@ -465,6 +465,30 @@ class TestTankCommand:
             "C1*V0**2/2, so the RK4 efficiency is undefined\n"
         )
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--dt", "-1"), "--dt needs --simulate or --dump-waveform"),
+            (("--dt", "nan"), "--dt needs --simulate or --dump-waveform"),
+            (("--dt", "1e-12"), "--dt needs --simulate or --dump-waveform"),
+            (("--n-switches", "-5"), "--n-switches must be >= 2, got -5"),
+            (("--n-switches", "1", "--e-switch-kt", "3"),
+             "--n-switches must be >= 2, got 1"),
+        ],
+    )
+    def test_unread_option_is_still_refused(self, capsys, extra, message):
+        code, out, err = run_cli(capsys, *self.Q100, *extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_dt_is_read_by_dump_waveform_alone(self, capsys, tmp_path):
+        dump = tmp_path / "wave.csv"
+        code, _, err = run_cli(
+            capsys, *self.Q100, "--dt", "1e-14", "--dump-waveform", str(dump)
+        )
+        assert (code, err) == (0, "")
+        assert dump.exists()
+
     def test_coarse_dt_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, *self.Q100, "--simulate", "--dt", "1e-9")
         assert code == 2

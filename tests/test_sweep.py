@@ -38,8 +38,10 @@ def read_csv_columns(path):
 
 
 class TestConfigValidation:
+    build = staticmethod(SweepSpec.from_config)
+
     def test_valid_config_loads(self, tmp_path):
-        spec = SweepSpec.from_config(base_config(tmp_path))
+        spec = self.build(base_config(tmp_path))
         assert spec.variable == "epsilon"
         assert spec.points == 7
 
@@ -55,27 +57,27 @@ class TestConfigValidation:
 
     def test_unknown_variable(self, tmp_path):
         with pytest.raises(SweepConfigError, match="variable"):
-            SweepSpec.from_config(base_config(tmp_path, variable="voltage"))
+            self.build(base_config(tmp_path, variable="voltage"))
 
     def test_bad_scale(self, tmp_path):
         with pytest.raises(SweepConfigError, match="scale"):
-            SweepSpec.from_config(base_config(tmp_path, scale="cubic"))
+            self.build(base_config(tmp_path, scale="cubic"))
 
     def test_too_few_points(self, tmp_path):
         with pytest.raises(SweepConfigError, match="points"):
-            SweepSpec.from_config(base_config(tmp_path, points=1))
+            self.build(base_config(tmp_path, points=1))
 
     def test_non_integer_points(self, tmp_path):
         with pytest.raises(SweepConfigError, match="points"):
-            SweepSpec.from_config(base_config(tmp_path, points=5.5))
+            self.build(base_config(tmp_path, points=5.5))
 
     def test_reversed_range(self, tmp_path):
         with pytest.raises(SweepConfigError, match="start"):
-            SweepSpec.from_config(base_config(tmp_path, start=1e-3, stop=1e-30))
+            self.build(base_config(tmp_path, start=1e-3, stop=1e-30))
 
     def test_log_scale_needs_positive_start(self, tmp_path):
         with pytest.raises(SweepConfigError, match="log"):
-            SweepSpec.from_config(
+            self.build(
                 base_config(tmp_path, scale="log", start=0.0, stop=1.0)
             )
 
@@ -83,31 +85,31 @@ class TestConfigValidation:
         config = base_config(tmp_path)
         config["fixed"]["epsilon"] = 1e-9
         with pytest.raises(SweepConfigError, match="sweep variable"):
-            SweepSpec.from_config(config)
+            self.build(config)
 
     def test_fixed_unknown_key_named(self, tmp_path):
         config = base_config(tmp_path)
         config["fixed"]["R"] = 1e3
         with pytest.raises(SweepConfigError, match="'R'"):
-            SweepSpec.from_config(config)
+            self.build(config)
 
     def test_fixed_must_be_object(self, tmp_path):
         with pytest.raises(SweepConfigError, match="fixed"):
-            SweepSpec.from_config(base_config(tmp_path, fixed=[1, 2]))
+            self.build(base_config(tmp_path, fixed=[1, 2]))
 
     @pytest.mark.parametrize("value", ["abc", True, None, [1e-15]])
     def test_fixed_value_must_be_a_number(self, tmp_path, value):
         config = base_config(tmp_path)
         config["fixed"]["C"] = value
         with pytest.raises(SweepConfigError, match="'C' must be a number"):
-            SweepSpec.from_config(config)
+            self.build(config)
 
     @pytest.mark.parametrize("value", [2.7, "3", True, math.inf, math.nan])
     def test_fixed_n_switches_must_be_an_integer(self, tmp_path, value):
         config = base_config(tmp_path)
         config["fixed"]["n_switches"] = value
         with pytest.raises(SweepConfigError, match="'n_switches' must be an integer"):
-            SweepSpec.from_config(config)
+            self.build(config)
 
     @pytest.mark.parametrize(
         "name, named",
@@ -124,7 +126,7 @@ class TestConfigValidation:
         else:
             config[name] = 10**400
         with pytest.raises(SweepConfigError, match=named):
-            SweepSpec.from_config(config)
+            self.build(config)
 
     def test_whole_number_float_n_switches_counts_as_integer(self, tmp_path):
         rows = {}
@@ -133,14 +135,56 @@ class TestConfigValidation:
                 tmp_path, variable="q", start=2.0, stop=100.0,
                 fixed={"e_switch": 70.0, "n_switches": value},
             )
-            rows[value] = compute_rows(SweepSpec.from_config(config))
+            rows[value] = compute_rows(self.build(config))
         assert rows[3.0] == rows[3]
         assert rows[3][0]["break_even_kT"] == 3 * 70.0 / rows[3][0]["tank_efficiency"]
 
     def test_points_bounded_before_any_work(self, tmp_path):
-        assert SweepSpec.from_config(base_config(tmp_path, points=MAX_POINTS)).points == MAX_POINTS
+        assert self.build(base_config(tmp_path, points=MAX_POINTS)).points == MAX_POINTS
         with pytest.raises(SweepConfigError, match="points"):
-            SweepSpec.from_config(base_config(tmp_path, points=MAX_POINTS + 1))
+            self.build(base_config(tmp_path, points=MAX_POINTS + 1))
+
+    def test_string_start_is_named(self, tmp_path):
+        named = "field 'start': must be a number, got '1e-30'"
+        with pytest.raises(SweepConfigError, match=named):
+            self.build(base_config(tmp_path, start="1e-30"))
+
+    @pytest.mark.parametrize("name", ["variable", "scale", "output"])
+    def test_text_field_must_be_a_string(self, tmp_path, name):
+        with pytest.raises(SweepConfigError, match=f"'{name}': must be a string"):
+            self.build(base_config(tmp_path, **{name: 3}))
+
+    @pytest.mark.parametrize("value", [True, 12.0, "12"])
+    def test_seed_must_be_an_integer(self, tmp_path, value):
+        with pytest.raises(SweepConfigError, match="'seed': must be an integer"):
+            self.build(base_config(tmp_path, seed=value))
+
+    def test_endpoints_are_stored_as_floats(self, tmp_path):
+        spec = self.build(base_config(tmp_path, scale="linear", start=-1, stop=3))
+        assert (spec.start, spec.stop) == (-1.0, 3.0)
+        assert type(spec.start) is type(spec.stop) is float
+
+    def test_fixed_is_copied(self, tmp_path):
+        config = base_config(tmp_path)
+        spec = self.build(config)
+        config["fixed"]["C"] = math.nan
+        assert spec.fixed["C"] == 1e-15
+
+
+def keywords(config):
+    """A config's fields as SweepSpec keywords, bypassing from_config."""
+    return SweepSpec(
+        **{"output_path" if name == "output" else name: value
+           for name, value in config.items()}
+    )
+
+
+class TestDirectConstruction(TestConfigValidation):
+    """The same configs, passed straight to SweepSpec, are checked alike."""
+
+    build = staticmethod(keywords)
+    # Only from_config reads field names.
+    test_missing_field_named = test_unexpected_field_named = None
 
 
 class TestGrid:

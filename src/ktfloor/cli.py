@@ -31,7 +31,7 @@ from .floors import ErrorSpec, first_passage_mc, floor_long, floor_short
 from .noise import OuProcess, stationary_path
 from .quantities import ROOM_TEMPERATURE, PhysicalEnvironment, require
 from .sweep import DEFAULT_SEED, SweepConfigError, load_config, run_sweep
-from .tank import MAX_RK4_STEPS, TankCircuit
+from .tank import MAX_RK4_STEPS, TankCircuit, refuse_huge_switch_count
 
 
 def _resolve_seed(args) -> int:
@@ -290,6 +290,7 @@ def cmd_tank(args) -> int:
         raise ValueError("--dt needs --simulate or --dump-waveform")
     # Checked even without --e-switch-kt, the only option that reads it.
     require("--n-switches", args.n_switches, ge=2)
+    refuse_huge_switch_count(args.n_switches)
     tank = TankCircuit(
         c1=args.c1,
         c2=args.c2,
@@ -446,20 +447,31 @@ _OPTIONS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {
+    "floor": (cmd_floor, "dissipation floors for a target error probability"),
+    "cycle": (cmd_cycle, "full-cycle energy audit of a follower gate"),
+    "mc": (cmd_mc, "Monte Carlo first-passage error estimate"),
+    "tank": (cmd_tank, "LC recycling transfer efficiency and break-even"),
+    "sweep": (cmd_sweep, "one-variable parameter sweep to CSV + manifest"),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """Build the parser for every subcommand, or for ``command`` alone.
+
+    A one-command parser's metavar keeps its usage line naming all five; the
+    full parser has none, so its errors for a missing or unknown command
+    still name the argument ``command``.
+    """
     parser = argparse.ArgumentParser(prog="ktfloor", description="Thermal-noise energy "
         "floors for voltage-controlled logic: cycle energetics, error floors, "
         "first-passage Monte Carlo, and LC recycling break-even.")
     parser.add_argument("--version", action="version", version=f"ktfloor {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, text in (
-        ("floor", cmd_floor, "dissipation floors for a target error probability"),
-        ("cycle", cmd_cycle, "full-cycle energy audit of a follower gate"),
-        ("mc", cmd_mc, "Monte Carlo first-passage error estimate"),
-        ("tank", cmd_tank, "LC recycling transfer efficiency and break-even"),
-        ("sweep", cmd_sweep, "one-variable parameter sweep to CSV + manifest"),
-    ):
-        sub.add_parser(name, help=text).set_defaults(handler=handler)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (_, text) in _COMMANDS.items():
+        if command in (None, name):
+            sub.add_parser(name, help=text)
     groups = {}
     for opt in _OPTIONS:
         kwargs = {"action": "store_true"} if opt.type is bool else {
@@ -468,17 +480,21 @@ def build_parser() -> argparse.ArgumentParser:
         if opt.default is ...:
             kwargs.update(required=True, default=None)
         for name in opt.commands.split():
-            command = sub.choices[name]
+            if name not in sub.choices:
+                continue
+            subparser = sub.choices[name]
             # Groups are made lazily: argparse cannot format an empty one.
             if opt.group and (name, opt.group) not in groups:
-                groups[name, opt.group] = command.add_mutually_exclusive_group()
-            target = groups.get((name, opt.group), command)
+                groups[name, opt.group] = subparser.add_mutually_exclusive_group()
+            target = groups.get((name, opt.group), subparser)
             target.add_argument(opt.flag, help=opt.help, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Any argv whose first word is not a command gets the full parser.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -488,7 +504,7 @@ def main(argv=None) -> int:
             value = getattr(args, opt.flag.lstrip("-").replace("-", "_"), None)
             if opt.finite and value == math.inf:
                 raise ValueError(f"{opt.flag} must be finite, got {value!r}")
-        return args.handler(args)
+        return _COMMANDS[args.command][0](args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

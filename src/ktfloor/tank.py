@@ -12,6 +12,7 @@ the scheme at logic-gate energy scales.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,14 @@ def symmetric_tank_efficiency(quality_factor: float) -> float:
     ).transfer_efficiency().efficiency
 
 
+def refuse_huge_switch_count(n_switch_events: int) -> None:
+    """Refuse a switch event count past the float range."""
+    if n_switch_events > sys.float_info.max:
+        raise ValueError(
+            "n_switch_events is too large to convert to float (above 1.8e308)"
+        )
+
+
 def break_even_energy(
     e_switch_control: float, efficiency: float, n_switch_events: int = 2
 ) -> tuple[float, float]:
@@ -53,12 +62,8 @@ def break_even_energy(
     """
     require("e_switch_control", e_switch_control, ge=0)
     require("n_switch_events", n_switch_events, ge=2)
-    try:
-        overhead = n_switch_events * e_switch_control
-    except OverflowError:
-        raise ValueError(
-            "n_switch_events is too large to convert to float (above 1.8e308)"
-        ) from None
+    refuse_huge_switch_count(n_switch_events)
+    overhead = n_switch_events * e_switch_control
     if not (efficiency > 0.0 and overhead / efficiency < math.inf):
         raise ValueError(
             f"break-even energy {overhead!r} / efficiency {efficiency!r} is not finite"

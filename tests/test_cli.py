@@ -1,12 +1,14 @@
 """CLI behavior: output contracts, exit codes, determinism, seeding."""
 
+import argparse
 import json
 import math
 import re
 
 import pytest
 
-from ktfloor.cli import _OPTIONS, main
+from ktfloor import cli
+from ktfloor.cli import _OPTIONS, build_parser, main
 from ktfloor.floors import MAX_MC_DRAWS, MAX_MC_OBSERVATIONS
 from ktfloor.sweep import DEFAULT_SEED
 from ktfloor.tank import MAX_RK4_STEPS
@@ -130,6 +132,14 @@ class TestCycleCommand:
             capsys, *self.REFERENCE, "--claimed-kt", "71.0", "--strict"
         )
         assert code == 0
+
+    @pytest.mark.parametrize("first, second", [
+        ("--claimed", "--claimed-kt"), ("--friction-kt", "--friction-per-transition"),
+    ])
+    def test_exclusive_options_are_refused_together(self, capsys, first, second):
+        code, out, err = run_cli(capsys, *self.REFERENCE[:5], first, "1", second, "1")
+        assert (code, out) == (2, "")
+        assert f"argument {second}: not allowed with argument {first}" in err
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "cycle", "--cap", "1e-15")
@@ -392,6 +402,14 @@ class TestTankCommand:
         code, out, err = run_cli(
             capsys, *self.Q100, "--e-switch-kt", "1", "--n-switches", str(10**400)
         )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: n_switch_events is too large to convert to float "
+            "(above 1.8e308)\n"
+        )
+
+    def test_overflowing_switch_count_is_refused_without_switch_energy(self, capsys):
+        code, out, err = run_cli(capsys, *self.Q100, "--n-switches", str(10**400))
         assert (code, out) == (2, "")
         assert err == (
             "error: n_switch_events is too large to convert to float "
@@ -680,3 +698,68 @@ class TestParser:
         assert f"at most {MAX_MC_DRAWS:.0e}" in mc_help
         assert f"else {DEFAULT_SEED})" in mc_help
         assert f"at most {MAX_RK4_STEPS} steps" in tank_help
+
+
+CYCLE = ("cycle", "--cap", "1e-15", "--swing", "0.5")
+MC = ("mc", "--cap", "1e-15", "--res", "1e6", "--threshold-sigma", "2",
+      "--t-obs", "1e-8", "--trials", "50")
+TANK = ("tank", "--inductance", "1e-6", "--c1", "1e-12", "--c2", "1e-12", "--v0", "1")
+# Argv that main parses with a one-command parser when the first word names a
+# command, and with the full parser otherwise; both must give the same bytes.
+DIFFERENTIAL_ARGV = [
+    (), ("--help",), ("-h",), ("--version",), ("bogus",),
+    ("-h", "floor"), ("--version", "floor"),
+    *((command, "--help") for command in REQUIRED_ARGS),
+    ("floor", "--epsilon", "1e-9"),
+    ("floor", "--epsilon", "1e-9", "--bogus"),
+    ("floor", "--epsilon", "1e-9", "stray"),
+    ("floor", "--epsilon", "1e-9", "--version"),
+    ("floor",),
+    ("floor", "--epsilon", "tiny"),
+    ("floor", "--eps", "1e-9", "--json"),
+    ("floor", "--", "x"),
+    ("--", "floor", "--epsilon", "1e-9"),
+    CYCLE,
+    CYCLE + ("--accounting", "half"),
+    CYCLE + ("--claimed", "1e-18", "--claimed-kt", "3"),
+    CYCLE + ("--friction-kt", "1", "--friction-per-transition", "0"),
+    ("cycle", "--cap", "1e-15"),
+    MC + ("--json",),
+    MC[:-2] + ("--trials", "many"),
+    TANK + ("--json", "extra"),
+    ("tank", "--c1", "1e-12"),
+    ("sweep",),
+    ("sweep", "a.json", "b.json"),
+]
+
+
+def subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestOneCommandParser:
+    @pytest.mark.parametrize("argv", DIFFERENTIAL_ARGV, ids=" ".join)
+    def test_output_matches_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        built = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+        assert run_cli(capsys, *argv) == built
+
+    def test_main_builds_only_a_named_command(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: (
+            built.append(command) or build_parser(command)))
+        for argv in (("floor", "--epsilon", "1e-9"), ("--help",), ("-h", "floor")):
+            run_cli(capsys, *argv)
+        assert built == ["floor", None, None]
+
+    def test_tank_parser_holds_only_tank_options(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        lean, full = build_parser("tank"), build_parser()
+        assert list(subcommands(lean)) == ["tank"]
+        tank = subcommands(lean)["tank"]
+        flags = [a.option_strings[0] for a in tank._actions if a.dest != "help"]
+        assert flags == [opt.flag for opt in declared("tank")]
+        assert tank.prog == subcommands(full)["tank"].prog == "ktfloor tank"
+        assert lean.format_usage() == full.format_usage()

@@ -29,9 +29,9 @@ from .circuit import RcStage
 from .csvout import write_numeric_csv
 from .floors import ErrorSpec, first_passage_mc, floor_long, floor_short
 from .noise import OuProcess, stationary_path
-from .quantities import ROOM_TEMPERATURE, PhysicalEnvironment, require
+from .quantities import ROOM_TEMPERATURE, PhysicalEnvironment
 from .sweep import DEFAULT_SEED, SweepConfigError, load_config, run_sweep
-from .tank import MAX_RK4_STEPS, TankCircuit, refuse_huge_switch_count
+from .tank import MAX_RK4_STEPS, WAVEFORM_COLUMNS, TankCircuit, require_switch_count
 
 
 def _resolve_seed(args) -> int:
@@ -289,8 +289,7 @@ def cmd_tank(args) -> int:
     if args.dt is not None and not run_rk4:
         raise ValueError("--dt needs --simulate or --dump-waveform")
     # Checked even without --e-switch-kt, the only option that reads it.
-    require("--n-switches", args.n_switches, ge=2)
-    refuse_huge_switch_count(args.n_switches)
+    require_switch_count("--n-switches", args.n_switches)
     tank = TankCircuit(
         c1=args.c1,
         c2=args.c2,
@@ -306,9 +305,7 @@ def cmd_tank(args) -> int:
         rk4 = tank.simulate_transfer(dt=args.dt, record=args.dump_waveform is not None)
         if args.dump_waveform is not None:
             write_numeric_csv(
-                args.dump_waveform,
-                ("t", "v_c1", "i_l", "v_c2", "e_loss"),
-                rk4.waveform.tolist(),
+                args.dump_waveform, WAVEFORM_COLUMNS, rk4.waveform.tolist()
             )
         rk4_gap = (rk4.efficiency - closed.efficiency) / closed.efficiency
 
@@ -442,7 +439,7 @@ _OPTIONS = (
             "sqrt(L*min(C1,C2))/100 and coarse enough for at most "
             f"{MAX_RK4_STEPS} steps over both phases"),
     _Option("tank", "--dump-waveform", str, None, "FILE",
-            "write the RK4 waveform as CSV (t, v_c1, i_l, v_c2, e_loss)"),
+            f"write the RK4 waveform as CSV ({', '.join(WAVEFORM_COLUMNS)})"),
     _Option("sweep", "config", str, None, "CONFIG.json", "sweep configuration file"),
 )
 

@@ -164,7 +164,7 @@ def floor_long(spec: ErrorSpec, env: PhysicalEnvironment) -> FloorResult:
         )
     if t_o / tau == math.inf:
         raise ValueError(f"t_o/tau overflows for t_o={t_o!r} s, tau={tau!r} s")
-    floor_kt = -math.log(spec.epsilon) + math.log(t_o / tau)
+    floor_kt = floor_short(spec, env).floor_kt + math.log(t_o / tau)
     return FloorResult(
         floor_joule=env.kt_to_joules(floor_kt), floor_kt=floor_kt, regime="long"
     )

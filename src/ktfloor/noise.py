@@ -267,6 +267,7 @@ def sample_path(
     Consumes exactly n standard normals from the (seed, path_index) stream.
     """
     require("n", n, ge=1)
+    require("v0", v0, "V")
     a, b = process.update_coefficients(dt)
     z = path_generator(seed, path_index).standard_normal(n)
     return NoisePath(

@@ -42,8 +42,9 @@ def symmetric_tank_efficiency(quality_factor: float) -> float:
     ).transfer_efficiency().efficiency
 
 
-def refuse_huge_switch_count(n_switch_events: int) -> None:
-    """Refuse a switch event count past the float range."""
+def require_switch_count(name: str, n_switch_events: int) -> None:
+    """Refuse a switch count below 2 (naming it ``name``) or past the float range."""
+    require(name, n_switch_events, ge=2)
     if n_switch_events > sys.float_info.max:
         raise ValueError(
             "n_switch_events is too large to convert to float (above 1.8e308)"
@@ -61,8 +62,7 @@ def break_even_energy(
     efficiency 0).
     """
     require("e_switch_control", e_switch_control, ge=0)
-    require("n_switch_events", n_switch_events, ge=2)
-    refuse_huge_switch_count(n_switch_events)
+    require_switch_count("n_switch_events", n_switch_events)
     overhead = n_switch_events * e_switch_control
     if not (efficiency > 0.0 and overhead / efficiency < math.inf):
         raise ValueError(
@@ -71,14 +71,17 @@ def break_even_energy(
     return overhead, overhead / efficiency
 
 
+# Columns of a recorded waveform row, as TankCircuit.simulate_transfer builds it.
+WAVEFORM_COLUMNS = ("t", "v_c1", "i_l", "v_c2", "e_loss")
+
+
 @dataclass(frozen=True)
 class TransferReport:
     """Outcome of one two-phase transfer.
 
     ``method`` records whether the numbers come from the closed form
     (``"closed-form"``) or the RK4 integration (``"rk4"``).  ``waveform`` is
-    None unless the simulation recorded one; columns are
-    (t, v_c1, i_l, v_c2, e_loss).
+    None unless the simulation recorded one; its columns are WAVEFORM_COLUMNS.
     """
 
     phase1_duration: float
@@ -245,41 +248,36 @@ class TankCircuit:
             )
         resistance = self.series_resistance
         inductance = self.inductance
-        rows: list[tuple[float, float, float, float, float]] = []
+        rows = [(0.0, self.initial_voltage, 0.0, 0.0, 0.0)]
 
-        def phase1_rates(y: tuple[float, float, float]):
-            v1, i, _ = y
-            return (-i / self.c1, (v1 - resistance * i) / inductance, i * i * resistance)
+        def ring(state, cap, start, duration, row):
+            def rates(y: tuple[float, float, float]):
+                v, i, _ = y
+                return (-i / cap, (v - resistance * i) / inductance, i * i * resistance)
 
-        def phase2_rates(y: tuple[float, float, float]):
-            v2, i, _ = y
-            return (i / self.c2, (-v2 - resistance * i) / inductance, i * i * resistance)
+            n = max(1, math.ceil(duration / dt))
+            h = duration / n
+            for k in range(n):
+                state = _rk4_step(rates, state, h)
+                if record:
+                    rows.append(row(start + (k + 1) * h, state))
+            return state
 
         # Phase 1: C1 rings into L.
-        state = (self.initial_voltage, 0.0, 0.0)
-        if record:
-            rows.append((0.0, state[0], state[1], 0.0, state[2]))
-        n1 = max(1, math.ceil(t1 / dt))
-        h1 = t1 / n1
-        for k in range(n1):
-            state = _rk4_step(phase1_rates, state, h1)
-            if record:
-                rows.append(((k + 1) * h1, state[0], state[1], 0.0, state[2]))
-
+        v1_residual, current, e_loss = ring(
+            (self.initial_voltage, 0.0, 0.0), self.c1, 0.0, t1,
+            lambda t, y: (t, y[0], y[1], 0.0, y[2]),
+        )
         # Commutation: C1 drops out with its residual voltage; the inductor
-        # current and accumulated loss carry over into phase 2.
-        v1_residual, current, e_loss = state
-        state = (0.0, current, e_loss)
-        n2 = max(1, math.ceil(t2 / dt))
-        h2 = t2 / n2
-        for k in range(n2):
-            state = _rk4_step(phase2_rates, state, h2)
-            if record:
-                rows.append(
-                    (t1 + (k + 1) * h2, v1_residual, state[1], state[0], state[2])
-                )
-
-        delivered = 0.5 * self.c2 * state[0] ** 2
+        # current and accumulated loss carry over into phase 2.  Phase 2 runs
+        # in w = -v_C2, where it has phase 1's equations with C2 for C1.
+        # Round-to-nearest is symmetric in sign, so from w = -0.0 every w is
+        # exactly -v_C2.
+        w, _, _ = ring(
+            (-0.0, current, e_loss), self.c2, t1, t2,
+            lambda t, y: (t, v1_residual, y[1], -y[0], y[2]),
+        )
+        delivered = 0.5 * self.c2 * w**2
         return TransferReport(
             phase1_duration=t1,
             phase2_duration=t2,

@@ -11,7 +11,7 @@ from ktfloor import cli
 from ktfloor.cli import _OPTIONS, build_parser, main
 from ktfloor.floors import MAX_MC_DRAWS, MAX_MC_OBSERVATIONS
 from ktfloor.sweep import DEFAULT_SEED
-from ktfloor.tank import MAX_RK4_STEPS
+from ktfloor.tank import MAX_RK4_STEPS, WAVEFORM_COLUMNS
 
 
 @pytest.fixture(autouse=True)
@@ -518,6 +518,7 @@ class TestTankCommand:
         assert code == 0
         lines = dump.read_bytes().decode().split("\r\n")
         assert lines[0] == "t,v_c1,i_l,v_c2,e_loss"
+        assert tuple(lines[0].split(",")) == WAVEFORM_COLUMNS
         assert len(lines) > 600  # two phases at the default step
 
 

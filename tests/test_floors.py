@@ -139,6 +139,21 @@ class TestFloorLong:
         spec = ErrorSpec(epsilon=1e-9, observation_time=1e-9, correlation_time=1e-9)
         assert floor_long(spec, ENV300).floor_kt == floor_short(spec, ENV300).floor_kt
 
+    @pytest.mark.parametrize(
+        "epsilon, t_o, tau",
+        [
+            (1e-25, 3.156e7, 1e-10),
+            (1e-9, 2e-6, 1e-9),
+            (0.3, 1.0, 0.7),
+            (1e-300, 1e300, 1e-8),
+        ],
+    )
+    def test_adds_ln_window_to_the_short_floor_exactly(self, epsilon, t_o, tau):
+        spec = ErrorSpec(epsilon=epsilon, observation_time=t_o, correlation_time=tau)
+        assert floor_long(spec, ENV300).floor_kt == (
+            floor_short(spec, ENV300).floor_kt + math.log(t_o / tau)
+        )
+
     def test_doubling_window_adds_ln_two(self):
         base = floor_long(
             ErrorSpec(epsilon=1e-9, observation_time=2e-6, correlation_time=1e-9),

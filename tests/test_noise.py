@@ -230,6 +230,15 @@ class TestNoisePath:
         with pytest.raises(ValueError):
             sample_path(process, 1e-9, 0, seed=1)
 
+    @pytest.mark.parametrize("v0", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_start_before_any_draw(self, monkeypatch, v0):
+        def no_draw(*args):
+            raise AssertionError("a path generator was built")
+
+        monkeypatch.setattr(noise, "path_generator", no_draw)
+        with pytest.raises(ValueError, match=r"^v0 must be finite, got"):
+            sample_path(OuProcess(2e-4, 1e-10), 1e-10, 3, seed=0, v0=v0)
+
     def test_csv_dump(self, tmp_path):
         process = OuProcess.from_stage(STAGE)
         path = stationary_path(process, 1e-9, 3, seed=5)

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ktfloor import PhysicalEnvironment, TankCircuit, symmetric_tank_efficiency
+from rk4_oracle import two_phase_transfer
 
 ENV300 = PhysicalEnvironment(temperature=300.0)
 
@@ -195,6 +198,35 @@ class TestSimulation:
         # q just above the underdamped bound: the ring is mostly burned.
         report = make_tank(resistance=1800.0).simulate_transfer()
         assert report.efficiency < 0.1
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        inductance=st.floats(1e-9, 1e-5),
+        c1=st.floats(1e-14, 1e-10),
+        ratio=st.floats(0.1, 10.0),
+        # Fraction of the critical resistance 2*sqrt(L/max(C1, C2)); 0 is lossless.
+        damping=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+        v0=st.floats(1e-3, 10.0),
+        dt_fraction=st.one_of(st.none(), st.floats(0.3, 1.0)),
+    )
+    def test_recorded_transfer_matches_two_phase_oracle_bit_for_bit(
+        self, inductance, c1, ratio, damping, v0, dt_fraction
+    ):
+        c2 = c1 * ratio
+        assume(c2 != c1)
+        resistance = damping * 2.0 * math.sqrt(inductance / max(c1, c2))
+        tank = make_tank(c1, c2, inductance, resistance, v0)
+        dt = None
+        if dt_fraction is not None:
+            dt = dt_fraction * math.sqrt(inductance * min(c1, c2)) / 100.0
+        report = tank.simulate_transfer(dt=dt, record=True)
+        waveform, efficiency = two_phase_transfer(
+            c1, c2, inductance, resistance, v0, dt=dt
+        )
+        # tobytes also tells +0.0 from -0.0, which array_equal does not.
+        assert np.array_equal(report.waveform, waveform)
+        assert report.waveform.tobytes() == waveform.tobytes()
+        assert report.efficiency == efficiency
 
 
 class TestBreakEven:

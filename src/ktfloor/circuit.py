@@ -16,6 +16,10 @@ import numpy as np
 
 from .quantities import PhysicalEnvironment, require
 
+# Grid points of integrated_charge_dissipation, 8 MB per float64 array; the
+# default grid has 20001.
+MAX_QUADRATURE_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class RcStage:
@@ -117,12 +121,18 @@ def integrated_charge_dissipation(
     (U1 - v(t))**2 / R on a grid of spacing ``step_fraction * RC`` out to
     ``horizon`` time constants.  The truncated tail carries a fraction
     exp(-2*horizon) of the energy (~4e-18 at the default horizon), far below
-    the trapezoid error itself.
+    the trapezoid error itself.  A grid of more than MAX_QUADRATURE_POINTS
+    points raises ValueError before it is allocated.
     """
     require("step_fraction", step_fraction, gt=0)
     require("horizon", horizon, gt=0)
+    intervals = horizon / step_fraction
+    if not intervals <= MAX_QUADRATURE_POINTS - 1:
+        raise ValueError(
+            f"horizon {horizon!r} / step_fraction {step_fraction!r} needs "
+            f"{intervals + 1:.3g} grid points; the limit is {MAX_QUADRATURE_POINTS}"
+        )
     tau = stage.correlation_time
-    n = int(round(horizon / step_fraction))
-    t = np.linspace(0.0, horizon * tau, n + 1)
+    t = np.linspace(0.0, horizon * tau, int(round(intervals)) + 1)
     _, p = stage.transient_power(t)
     return float(np.trapezoid(p, t))

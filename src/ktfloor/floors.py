@@ -146,6 +146,14 @@ def floor_short(spec: ErrorSpec, env: PhysicalEnvironment) -> FloorResult:
     )
 
 
+def _window_ratio(t_o: float, tau: float) -> float:
+    """t_o/tau, refused by name when the quotient overflows."""
+    ratio = t_o / tau
+    if ratio == math.inf:
+        raise ValueError(f"t_o/tau overflows for t_o={t_o!r} s, tau={tau!r} s")
+    return ratio
+
+
 def floor_long(spec: ErrorSpec, env: PhysicalEnvironment) -> FloorResult:
     """Minimum dissipation to hold a state for observation_time without error.
 
@@ -162,9 +170,7 @@ def floor_long(spec: ErrorSpec, env: PhysicalEnvironment) -> FloorResult:
             "observation_time must be >= correlation_time for the long floor "
             f"(got t_o={t_o!r}, tau={tau!r})"
         )
-    if t_o / tau == math.inf:
-        raise ValueError(f"t_o/tau overflows for t_o={t_o!r} s, tau={tau!r} s")
-    floor_kt = floor_short(spec, env).floor_kt + math.log(t_o / tau)
+    floor_kt = floor_short(spec, env).floor_kt + math.log(_window_ratio(t_o, tau))
     return FloorResult(
         floor_joule=env.kt_to_joules(floor_kt), floor_kt=floor_kt, regime="long"
     )
@@ -241,7 +247,7 @@ def observation_count(observation_time: float, correlation_time: float) -> int:
             "no observation instants fit in the window"
         )
     require("observation_time", observation_time)
-    quotient = observation_time / correlation_time
+    quotient = _window_ratio(observation_time, correlation_time)
     nearest = round(quotient)
     if abs(quotient - nearest) <= 1e-9 * max(1.0, abs(quotient)):
         return int(nearest)

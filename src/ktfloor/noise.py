@@ -15,13 +15,12 @@ Randomness comes from counter-based Philox streams keyed by
 ``(seed, path_index)``: path i always consumes its own stream, so results do
 not depend on how many paths are generated, in what order, or on how work is
 split across threads.  A Philox's whole state is its (key, counter) pair, so
-a hot loop may pass one Philox-backed ``np.random.Generator`` to
-``path_generator`` and have it re-keyed per path: the draws are bit-identical
-to a freshly built generator's, without the cost of constructing one per path.
-Any Philox generator is re-keyed through numpy's state setter, about 1.2 us;
-one from ``rekeyable_generator`` has its state words written in place through
-ctypes views instead, about 0.5 us, once a per-process probe has confirmed
-that numpy's C Philox struct has the layout the views assume.
+a hot loop may re-key one generator from ``rekeyable_generator`` per path by
+passing it to ``path_generator``, which writes its state words in place
+through ctypes views (about 0.5 us).  The draws are bit-identical to a fresh
+generator's.  Should a per-process probe find numpy's C Philox struct laid
+out otherwise, ``rekeyable_generator`` returns None and each path gets a
+fresh generator instead.
 """
 
 from __future__ import annotations
@@ -40,9 +39,9 @@ from .quantities import require
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 _SEED_MIN = -(1 << 63)
 _KEY_LIMIT = 1 << 64
-# Counter and output buffer of a freshly keyed Philox.  The state setter
-# copies the words, and converts a tuple faster than a uint64 array.
-_ZERO_WORDS = (0, 0, 0, 0)
+# Most samples that sample_path and stationary_path build, 256 MiB per
+# float64 array; a larger n raises ValueError before anything is allocated.
+MAX_PATH_SAMPLES = 2**25
 
 
 class _PhiloxState(ctypes.Structure):
@@ -126,18 +125,15 @@ def _rekeyable_generator_class() -> type:
     return RekeyableGenerator
 
 
-def rekeyable_generator() -> np.random.Generator:
+def rekeyable_generator() -> np.random.Generator | None:
     """A Philox-backed generator for ``path_generator`` to re-key per path.
 
     Re-keying it writes the Philox state words in place, which costs less
-    than half of numpy's state setter.  Should the installed numpy's Philox
-    struct not match the layout that relies on, this returns a plain Philox
-    generator, which ``path_generator`` re-keys through the setter; the
-    draws are the same either way.
+    than half of numpy's state setter.  None if the installed numpy's Philox
+    struct does not have the layout that relies on: ``path_generator`` then
+    builds a fresh generator per path, with the same draws.
     """
-    if _philox_layout_matches():
-        return _rekeyable_generator_class()()
-    return np.random.Generator(np.random.Philox())
+    return _rekeyable_generator_class()() if _philox_layout_matches() else None
 
 
 def path_generator(
@@ -149,35 +145,26 @@ def path_generator(
     negative seed is taken modulo 2**64.  Wider values would be masked onto
     another key silently, so they raise ValueError.
 
-    With a Philox-backed ``generator`` given, its bit generator is re-keyed in
-    place (zero counter, empty buffer) and that same object is returned
-    instead of a new one; the draws are bit-identical either way.  One from
-    ``rekeyable_generator`` is re-keyed fastest.  The object
+    With ``generator`` None, a new generator is returned.  A generator from
+    ``rekeyable_generator`` is instead re-keyed in place (zero counter, empty
+    buffer) and returned; the draws are bit-identical either way.  The object
     is reused, so it must not be shared between threads, and draws meant for
-    an earlier path must be taken before it is re-keyed.
+    an earlier path must be taken before it is re-keyed.  Any other
+    generator raises ValueError.
     """
     if not _SEED_MIN <= seed < _KEY_LIMIT:
         raise ValueError(f"seed must lie in [-2**63, 2**64), got {seed!r}")
     if not 0 <= path_index < _KEY_LIMIT:
         raise ValueError(f"path_index must lie in [0, 2**64), got {path_index!r}")
-    seed_word = seed & _UINT64_MASK
-    index_word = path_index & _UINT64_MASK
+    seed_word, index_word = seed & _UINT64_MASK, path_index & _UINT64_MASK
     rekey = getattr(generator, "_rekey", None)
     if rekey is not None:
         rekey(seed_word, index_word)
         return generator
-    key = [seed_word, index_word]
-    if generator is None:
-        return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
-    generator.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS, "key": key},
-        "buffer": _ZERO_WORDS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return generator
+    if generator is not None:
+        raise ValueError("generator must come from rekeyable_generator()")
+    key = np.array([seed_word, index_word], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -254,6 +241,12 @@ def _recurse(a: float, b: float, z: np.ndarray, v0: float) -> np.ndarray:
     return y
 
 
+def _require_path_length(n: int) -> None:
+    require("n", n, ge=1)
+    if n > MAX_PATH_SAMPLES:
+        raise ValueError(f"n={n!r} samples exceed the path limit of {MAX_PATH_SAMPLES}")
+
+
 def sample_path(
     process: OuProcess,
     dt: float,
@@ -266,7 +259,7 @@ def sample_path(
 
     Consumes exactly n standard normals from the (seed, path_index) stream.
     """
-    require("n", n, ge=1)
+    _require_path_length(n)
     require("v0", v0, "V")
     a, b = process.update_coefficients(dt)
     z = path_generator(seed, path_index).standard_normal(n)
@@ -288,7 +281,7 @@ def stationary_path(
     the recursion.  This is the entry point for equilibrium statistics — every
     sample, including v0, is exactly N(0, sigma**2).
     """
-    require("n", n, ge=1)
+    _require_path_length(n)
     a, b = process.update_coefficients(dt)
     z = path_generator(seed, path_index).standard_normal(n + 1)
     v0 = process.stationary_sigma * z[0]

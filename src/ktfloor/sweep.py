@@ -155,6 +155,10 @@ class SweepSpec:
                 )
             if isinstance(value, int) and abs(value) > sys.float_info.max:
                 raise SweepConfigError(f"field 'fixed': {key!r} must fit in a float")
+            if key in _EXTRA_FIXED and value < 2:
+                raise SweepConfigError(
+                    f"field 'fixed': {key!r} must be >= 2, got {value!r}"
+                )
         if not self.output_path:
             raise SweepConfigError("field 'output': must be a non-empty path")
 

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ktfloor import PhysicalEnvironment, RcStage, integrated_charge_dissipation
+from ktfloor.circuit import MAX_QUADRATURE_POINTS
 
 ENV300 = PhysicalEnvironment(temperature=300.0)
 
@@ -157,6 +158,20 @@ class TestQuadratureCrossCheck:
             stage = RcStage(cap, res, swing, ENV300)
             assert integrated_charge_dissipation(stage) == pytest.approx(
                 stage.charge_energy(), rel=1e-4
+            )
+
+    def test_grid_past_point_limit_is_refused_before_allocating(self):
+        # 2e13 points would need 145 TiB per array.
+        with pytest.raises(ValueError) as info:
+            integrated_charge_dissipation(make_stage(), step_fraction=1e-12)
+        assert str(info.value) == (
+            "horizon 20.0 / step_fraction 1e-12 needs 2e+13 grid points; "
+            f"the limit is {MAX_QUADRATURE_POINTS}"
+        )
+        # An overflowing quotient is refused by the same message.
+        with pytest.raises(ValueError, match="needs inf grid points"):
+            integrated_charge_dissipation(
+                make_stage(), step_fraction=5e-324, horizon=1e300
             )
 
     def test_bad_grid_parameters_rejected(self):

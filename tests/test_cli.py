@@ -308,6 +308,15 @@ class TestMcCommand:
             "Monte Carlo limit of 4194303\n"
         )
 
+    def test_overflowing_window_ratio_is_refused_by_name(self, capsys):
+        # tau = 1e-300 s, so t_o/tau overflows to inf before any count.
+        code, out, err = run_cli(
+            capsys, "mc", "--cap", "1e-150", "--res", "1e-150",
+            "--threshold-sigma", "3", "--t-obs", "1e300",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: t_o/tau overflows for t_o=1e+300 s, tau=1e-300 s\n"
+
     def test_trials_past_draw_limit_are_refused(self, capsys):
         code, out, err = run_cli(
             capsys, "mc", "--cap", "1e-15", "--res", "1e5",

@@ -301,6 +301,11 @@ class TestObservationCount:
         with pytest.raises(ValueError):
             observation_count(0.999e-9, 1e-9)
 
+    def test_overflowing_quotient_is_refused_by_name(self):
+        with pytest.raises(ValueError) as info:
+            observation_count(1e300, 1e-300)
+        assert str(info.value) == "t_o/tau overflows for t_o=1e+300 s, tau=1e-300 s"
+
     @pytest.mark.parametrize("window", [math.inf, math.nan])
     def test_non_finite_window_is_refused_by_name(self, window):
         message = f"^observation_time must be finite, got {window!r}$"
@@ -389,11 +394,11 @@ class TestFirstPassageMc:
             tracemalloc.stop()
         assert peak <= limit_mib * 2**20
 
-    def test_failed_layout_probe_falls_back_to_the_state_setter(self, monkeypatch):
+    def test_failed_layout_probe_falls_back_to_fresh_generators(self, monkeypatch):
         args = (make_stage(res=1e5), 3.0 * SIGMA_1FF_300K, 1e-9)
         fast = first_passage_mc(*args, trials=8192, seed=12345)
         monkeypatch.setattr(noise, "_philox_layout_matches", lambda: False)
-        assert type(noise.rekeyable_generator()) is np.random.Generator
+        assert noise.rekeyable_generator() is None
         slow = first_passage_mc(*args, trials=8192, seed=12345)
         assert slow.hits == 97
         assert slow == fast

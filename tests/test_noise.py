@@ -28,12 +28,6 @@ STAGE = RcStage(capacitance=1e-15, resistance=1e6, swing_voltage=24.08e-3, env=E
 SIGMA_1FF_300K = 2.0351773878460816e-3
 
 
-def reusable_generators():
-    """A plain Philox generator, re-keyed through numpy's state setter, and
-    one from ``rekeyable_generator``, whose state words are written in place."""
-    return [np.random.Generator(np.random.Philox()), noise.rekeyable_generator()]
-
-
 class TestConstruction:
     def test_from_stage_equipartition_sigma(self):
         process = OuProcess.from_stage(STAGE)
@@ -123,17 +117,25 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("seed", [0, -3, 12345, 2**64 - 1, -(2**63)])
     def test_rekeyed_generator_matches_fresh_generator(self, seed):
-        for gen in reusable_generators():
-            for index in (0, 1, 2**32 + 5, 2**63, 2**64 - 1):
-                fresh = path_generator(seed, index).standard_normal(1001)
-                rekeyed = path_generator(seed, index, gen).standard_normal(1001)
-                assert np.array_equal(rekeyed, fresh)
+        gen = noise.rekeyable_generator()
+        for index in (0, 1, 2**32 + 5, 2**63, 2**64 - 1):
+            fresh = path_generator(seed, index).standard_normal(1001)
+            rekeyed = path_generator(seed, index, gen).standard_normal(1001)
+            assert np.array_equal(rekeyed, fresh)
 
     def test_rekey_returns_the_generator_it_was_given(self):
-        for gen in reusable_generators():
-            assert path_generator(3, 1, gen) is gen
+        gen = noise.rekeyable_generator()
+        assert path_generator(3, 1, gen) is gen
         with pytest.raises(ValueError):
             path_generator(3, 1, np.random.default_rng(0))
+
+    def test_generator_not_from_rekeyable_generator_is_refused(self):
+        # Only the in-place re-key exists: a plain Philox generator is not
+        # re-keyed through numpy's state setter.
+        plain = np.random.Generator(np.random.Philox())
+        message = r"^generator must come from rekeyable_generator\(\)$"
+        with pytest.raises(ValueError, match=message):
+            path_generator(3, 1, plain)
 
     def test_rekey_discards_partial_draws(self):
         # A partial draw leaves a half-used counter block behind, and an odd
@@ -153,16 +155,16 @@ class TestReproducibility:
 
         fresh_state = state_words(path_generator(7, 2))
         fresh = draws(path_generator(7, 2))
-        for gen in reusable_generators():
-            path_generator(5, 0, gen).standard_normal(3)
-            assert state_words(path_generator(7, 2, gen)) == fresh_state
-            after_partial = draws(gen)
-            path_generator(5, 0, gen).integers(0, 2**31, size=3, dtype=np.uint32)
-            assert state_words(path_generator(7, 2, gen)) == fresh_state
-            after_odd = draws(gen)
-            for got in (after_partial, after_odd):
-                assert np.array_equal(got[0], fresh[0])
-                assert np.array_equal(got[1], fresh[1])
+        gen = noise.rekeyable_generator()
+        path_generator(5, 0, gen).standard_normal(3)
+        assert state_words(path_generator(7, 2, gen)) == fresh_state
+        after_partial = draws(gen)
+        path_generator(5, 0, gen).integers(0, 2**31, size=3, dtype=np.uint32)
+        assert state_words(path_generator(7, 2, gen)) == fresh_state
+        after_odd = draws(gen)
+        for got in (after_partial, after_odd):
+            assert np.array_equal(got[0], fresh[0])
+            assert np.array_equal(got[1], fresh[1])
 
     @pytest.mark.parametrize(
         "seed, index", [(2**64, 0), (-(2**63) - 1, 0), (0, -1), (0, 2**64)]
@@ -171,9 +173,8 @@ class TestReproducibility:
         # Masking them to 64 bits would alias another (seed, index) stream.
         with pytest.raises(ValueError):
             path_generator(seed, index)
-        for gen in reusable_generators():
-            with pytest.raises(ValueError):
-                path_generator(seed, index, gen)
+        with pytest.raises(ValueError):
+            path_generator(seed, index, noise.rekeyable_generator())
 
     def test_philox_layout_probe_passes_on_installed_numpy(self):
         # A numpy whose C Philox struct moved would silently lose the
@@ -238,6 +239,27 @@ class TestNoisePath:
         monkeypatch.setattr(noise, "path_generator", no_draw)
         with pytest.raises(ValueError, match=r"^v0 must be finite, got"):
             sample_path(OuProcess(2e-4, 1e-10), 1e-10, 3, seed=0, v0=v0)
+
+    @pytest.mark.parametrize("build", [sample_path, stationary_path])
+    def test_path_past_sample_limit_is_refused_before_allocating(self, build):
+        # 10**13 samples would need 72.8 TiB.
+        with pytest.raises(ValueError) as info:
+            build(OuProcess(1.0, 1.0), 1.0, 10**13, seed=0)
+        assert str(info.value) == (
+            f"n=10000000000000 samples exceed the path limit of {noise.MAX_PATH_SAMPLES}"
+        )
+
+    @pytest.mark.parametrize("build", [sample_path, stationary_path])
+    def test_path_at_sample_limit_reaches_the_draws(self, monkeypatch, build):
+        class Drawn(Exception):
+            pass
+
+        def no_draw(*args):
+            raise Drawn
+
+        monkeypatch.setattr(noise, "path_generator", no_draw)
+        with pytest.raises(Drawn):
+            build(OuProcess(1.0, 1.0), 1.0, noise.MAX_PATH_SAMPLES, seed=0)
 
     def test_csv_dump(self, tmp_path):
         process = OuProcess.from_stage(STAGE)

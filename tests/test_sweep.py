@@ -128,6 +128,16 @@ class TestConfigValidation:
         with pytest.raises(SweepConfigError, match=named):
             self.build(config)
 
+    @pytest.mark.parametrize("value", [1, 1.0, 0, -5])
+    def test_fixed_n_switches_below_two_is_refused(self, tmp_path, value):
+        # Refused by field name whether or not e_switch would read it.
+        for fixed in ({"q": 50.0}, {"q": 50.0, "e_switch": 3.0}):
+            config = base_config(tmp_path, fixed={**fixed, "n_switches": value})
+            message = f"field 'fixed': 'n_switches' must be >= 2, got {value!r}"
+            with pytest.raises(SweepConfigError) as info:
+                self.build(config)
+            assert str(info.value) == message
+
     def test_whole_number_float_n_switches_counts_as_integer(self, tmp_path):
         rows = {}
         for value in (3, 3.0):
@@ -274,8 +284,8 @@ class TestDerivedColumns:
             ("C", 0.0, 1e-15, {}, "capacitance must be > 0 F, got 0.0"),
             ("e_switch", -2.0, 2.0, {"q": 50.0},
              "e_switch_control must be >= 0, got -2.0"),
-            ("q", 2.0, 20.0, {"e_switch": 1.0, "n_switches": 1},
-             "n_switch_events must be >= 2, got 1"),
+            ("q", 0.5, 20.0, {},
+             "quality factor must exceed 0.5 (underdamped), got 0.5"),
             # kT/C underflows to 0, so epsilon_inst has no noise to divide by.
             ("U1", 0.1, 1.0, {"C": 1e300, "T": 1e-15},
              "sigma must be > 0 V, got 0.0"),

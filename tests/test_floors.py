@@ -1,18 +1,21 @@
 """Error probabilities, dissipation floors, and the first-passage Monte Carlo.
 
-Expected values were frozen from independent 40-digit evaluation; the
-correlated first-passage references come from tests/ar1_oracle.py (density
-recursion on a Gauss-Legendre grid), itself pinned here against constants that
-were cross-validated with a direct 2e6-trial simulation.
+Expected values were frozen from independent 40-digit evaluation, and the
+normal-tail accuracy pins from 60-digit mpmath references that
+tests/tail_references.py writes into this file.  The correlated
+first-passage references come from tests/ar1_oracle.py (density recursion on
+a Gauss-Legendre grid), itself pinned here against constants that were
+cross-validated with a direct 2e6-trial simulation.
 """
 
 import math
 import os
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ar1_oracle import exceedance_probability
@@ -26,6 +29,7 @@ from ktfloor import (
     floor_long,
     floor_short,
     instantaneous_error_prob,
+    log_tail_probability,
     multi_sample_error,
     observation_count,
     required_swing,
@@ -41,6 +45,87 @@ SIGMA_1FF_300K = 2.0351773878460816e-3
 TAIL_AT_3 = 1.3498980316300945e-3
 TAIL_AT_5 = 2.8665157187919391e-7
 QUANTILE_AT_1E30 = 11.464024688443616
+
+# (point, 60-digit reference to 25 digits) from tests/tail_references.py,
+# which CI re-runs with --check; regenerate rather than edit by hand.
+# BEGIN tail_references.py output
+TAIL_REFERENCES = [
+    (-37.5, '1.0'),
+    (-8.0, '9.999999999999993779039426e-1'),
+    (-3.0, '9.986501019683699042946827e-1'),
+    (-1.0, '8.413447460685429271342473e-1'),
+    (-0.25, '5.987063256829237156712096e-1'),
+    (0.0, '5.0e-1'),
+    (0.5, '3.085375387259869119677951e-1'),
+    (1.0, '1.586552539314570728657527e-1'),
+    (2.0, '2.275013194817921677300618e-2'),
+    (3.0, '1.349898031630095705317313e-3'),
+    (5.0, '2.866515718791945706707949e-7'),
+    (8.0, '6.220960574271819954691084e-16'),
+    (12.0, '1.776482112077701831224945e-33'),
+    (20.0, '2.753624118606331582770162e-89'),
+    (27.0, '7.389481006885621943389505e-161'),
+    (35.0, '1.124910706472553253369472e-268'),
+    (37.5, '4.60535300958258365077757e-308'),
+    (38.0, '2.885428360069291753120299e-316'),
+    (38.4, '6.601599854327780899732398e-323'),
+]
+LOG_TAIL_REFERENCES = [
+    (-40.0, '-3.655893540915548586165362e-350'),
+    (-20.0, '-2.753624118606331582770162e-89'),
+    (-5.0, '-2.866516129637642523818278e-7'),
+    (-1.0, '-1.72753779023449915022554e-1'),
+    (-0.001, '-6.923496142726882434329449e-1'),
+    (0.0, '-6.931471805599453094172321e-1'),
+    (0.001, '-6.939453834669651787893835e-1'),
+    (0.5, '-1.175911761593618608879729'),
+    (1.0, '-1.841021645009263505770783'),
+    (3.0, '-6.607726221510349543276077'),
+    (6.0, '-2.073676894997470565496885e+1'),
+    (10.0, '-5.323128515051247057834703e+1'),
+    (20.0, '-2.039171553710972639368045e+2'),
+    (30.0, '-4.543212439563431971073558e+2'),
+    (35.0, '-6.169751012619225134732442e+2'),
+    (35.78342139466302, '-6.447238260383327649230192e+2'),
+    (35.78342139466303, '-6.447238260383330193777792e+2'),
+    (36.0, '-6.525032275937983968543488e+2'),
+    (38.0, '-7.265572160188201300965035e+2'),
+    (38.6, '-7.495528608462078320954247e+2'),
+    (40.0, '-8.046084420137537881666068e+2'),
+    (100.0, '-5.005524208694205088626302e+3'),
+    (1000.0, '-5.000078266948121843098062e+5'),
+    (100000.0, '-5.000000012431863998274901e+9'),
+    (10000000000.0, '-5.000000000000000002394479e+19'),
+    (1e+50, '-5.000000000000000762976984e+99'),
+    (1e+100, '-5.000000000000000159028911e+199'),
+    (1e+150, '-4.999999999999999808355962e+299'),
+]
+QUANTILE_REFERENCES = [
+    (5e-324, '3.846740561714434625078436e+1'),
+    (1e-320, '3.826912534303265101818101e+1'),
+    (2.2250738585072014e-308, '3.751937934714449982068239e+1'),
+    (1e-300, '3.704709629936119923654704e+1'),
+    (1e-200, '3.020559417957964306312401e+1'),
+    (1e-100, '2.127345356096532429417952e+1'),
+    (1e-50, '1.493333753478848898065821e+1'),
+    (1e-30, '1.146402468844361571976697e+1'),
+    (1e-18, '8.757290348782315055814266'),
+    (1e-12, '7.034483825301131932614176'),
+    (1e-09, '5.997807015007686861445655'),
+    (1e-06, '4.753424308822898957338864'),
+    (0.001, '3.090232306167813535358005'),
+    (0.01, '2.326347874040841093075096'),
+    (0.05, '1.644853626951472687952128'),
+    (0.1, '1.281551565544600435334517'),
+    (0.2, '8.416212335729141655224906e-1'),
+    (0.3, '5.244005127080408159694544e-1'),
+    (0.4, '2.533471031357997413246887e-1'),
+    (0.45, '1.256613468550740061604284e-1'),
+    (0.49, '2.506890825871105803269163e-2'),
+    (0.4999, '2.506628300880074923888501e-4'),
+    (0.5, '0.0'),
+]
+# END tail_references.py output
 
 # ln(1/1e-30) and the long-floor example at (eps=1e-25, t_o=3.156e7 s, tau=1e-10 s).
 FLOOR_KT_1E30 = 69.07755278982137
@@ -58,8 +143,18 @@ AR1_EXCEEDANCE = {
 }
 
 
+# The first double whose tail is at or below log_tail_probability's seam.
+LOG_TAIL_SEAM_X = 35.78342139466303
+
+
 def make_stage(cap=1e-15, res=1e6, swing=0.0):
     return RcStage(capacitance=cap, resistance=res, swing_voltage=swing, env=ENV300)
+
+
+def ulps_from(value, reference):
+    """|value - reference| in ulps of the double nearest the reference."""
+    exact = Decimal(reference)
+    return abs(Decimal(value) - exact) / Decimal(math.ulp(float(exact)))
 
 
 class TestTailFunctions:
@@ -85,6 +180,69 @@ class TestTailFunctions:
         for bad in (0.0, -1e-3, 0.6, 1.0):
             with pytest.raises(ValueError):
                 tail_quantile(bad)
+
+    def test_zeros_are_positive(self):
+        assert math.copysign(1.0, tail_quantile(0.5)) == 1.0
+        assert math.copysign(1.0, log_tail_probability(-40.0)) == 1.0
+
+    def test_array_argument_is_refused(self):
+        with pytest.raises(TypeError):
+            tail_probability(np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("x, reference", TAIL_REFERENCES)
+    def test_tail_within_2_ulps(self, x, reference):
+        assert ulps_from(tail_probability(x), reference) <= 2
+
+    @pytest.mark.parametrize("x, reference", LOG_TAIL_REFERENCES)
+    def test_log_tail_within_3_ulps(self, x, reference):
+        assert ulps_from(log_tail_probability(x), reference) <= 3
+
+    def test_log_tail_points_straddle_the_seam(self):
+        below = math.nextafter(LOG_TAIL_SEAM_X, 0.0)
+        assert tail_probability(below) > floors._LOG_TAIL_SEAM
+        assert tail_probability(LOG_TAIL_SEAM_X) <= floors._LOG_TAIL_SEAM
+        assert {below, LOG_TAIL_SEAM_X} <= {x for x, _ in LOG_TAIL_REFERENCES}
+
+    @pytest.mark.parametrize("epsilon, reference", QUANTILE_REFERENCES)
+    def test_quantile_within_5_ulps(self, epsilon, reference):
+        assert ulps_from(tail_quantile(epsilon), reference) <= 5
+
+
+# Derandomized, as in test_fuzz.py, so a run is reproducible.
+TAIL_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+seam_neighbourhood = st.floats(LOG_TAIL_SEAM_X - 1e-9, LOG_TAIL_SEAM_X + 1e-9)
+
+
+class TestTailProperties:
+    @TAIL_PROPERTY
+    @given(st.floats(-40.0, 40.0), st.floats(0.0, 80.0))
+    def test_tail_is_non_increasing(self, x, step):
+        for y in (math.nextafter(x, math.inf), x + step):
+            assert tail_probability(y) <= tail_probability(x)
+
+    @TAIL_PROPERTY
+    @given(
+        st.one_of(st.floats(-40.0, 1e150), seam_neighbourhood),
+        st.floats(0.0, 1e150),
+    )
+    def test_log_tail_is_non_increasing(self, x, step):
+        for y in (math.nextafter(x, math.inf), x + step):
+            assert log_tail_probability(y) <= log_tail_probability(x)
+
+    # Only for x >= 0: below 0, log(tail_probability(x)) is the log of a
+    # number near 1 and loses the small tail at -x, which the log tail keeps
+    # (at x = -10 it gives 0.0 against -7.6e-24).
+    @TAIL_PROPERTY
+    @given(st.one_of(st.floats(0.0, LOG_TAIL_SEAM_X), seam_neighbourhood))
+    def test_log_tail_is_the_log_of_the_tail_above_the_seam(self, x):
+        tail = tail_probability(x)
+        if tail > floors._LOG_TAIL_SEAM:
+            assert ulps_from(log_tail_probability(x), math.log(tail)) <= 4
+
+    @TAIL_PROPERTY
+    @given(st.floats(0.1, 37.0))
+    def test_quantile_inverts_the_tail(self, x):
+        assert tail_quantile(tail_probability(x)) == pytest.approx(x, rel=1e-12)
 
 
 class TestErrorSpec:

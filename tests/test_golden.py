@@ -128,13 +128,13 @@ STDOUT_CASES = {
 }
 
 STDOUT_DIGESTS = {
-    "cycle --json": "1bddf99fc37c8a6af5c4ab36423e39b494b31d2c5af976b8cc012ae9ce78d816",
+    "cycle --json": "8c47f0f1d26a28f421a716a4c5df609388d1de9afe8f45244691f059ec071510",
     "cycle": "a3ba0535ff33819ba96d49f6a0a5922be2aa29734b12ee3aa14c427487ba8b5c",
-    "cycle-claimed-kt --json": "cfccd66203dc196dce9b62466a0b2004d794e0556d4f37f1970f13ab1ad692b9",
+    "cycle-claimed-kt --json": "c6f93cd846c22a01b586915b857a9eee0e0036c46b23e3f75ebf33eb4e5ed2fe",
     "cycle-claimed-kt": "9c12c5adb200dbc4eef92ab3847464f6d477f4669f3c43e0a0cd94c3cbda8c68",
-    "cycle-claimed-op --json": "6d2f3bbab15aa3996bce0e83aaaaae056806b6cce4960403c955ea84e597c230",
+    "cycle-claimed-op --json": "b2ffa9339b6d205c5113506aafdb59b81ba54765fdf2591fb28df9cc27f9305d",
     "cycle-claimed-op": "d00d722c4eac9f2401abeab13a1f6307385420907a3e2b131a58526d86bb8ae0",
-    "cycle-strict --json": "4e23bcc48fb91f493f90dd1f6868d2e3054162f58b2112eeeb375c00579a741e",
+    "cycle-strict --json": "1ba651c94804b28ece4a46373d8a6e1164eacbc77e3439ea17b53912c0746883",
     "cycle-strict": "bf426c69bcdd26f3207557a457ea04200c15730fe8730d851f44a32665b7f830",
     "cycle-underflow --json": "3c43c197808bb68614b8516501cb9a69dc3e47cb67dde166a739c018457c7708",
     "cycle-underflow": "e353a5c765912ace66f780c12a9f7e342646c58d8f32dda120d3ed4c74f5739c",
@@ -144,11 +144,11 @@ STDOUT_DIGESTS = {
     "floor-long": "6eb0acf1ffe60b72188cacb0c509ba513a7667d924e70f9395a528d9287ae613",
     "floor-short --json": "dece5faacab5eaeaa1f761afee7d4b83360abe0debfa883799e30877425a6006",
     "floor-short": "fc389991bd79e5ba8c404354257ec335d4aab1391414d1f89043d36183d76ba5",
-    "mc --json": "c5a1a47d405233df5cf950393e42391f7ad210a8bfb40a60e0f8beaa69f632f8",
+    "mc --json": "42e3548f3995df6137fa691e44a6f1332af73507ac80516ec9b4d2222b230cdb",
     "mc": "40e99d43a009c3e79b72fb23db772cef8f13b84ba26fd17e0e153021639c1188",
-    "mc-low-confidence --json": "7567a0da3921e5d3cd344c5c95ab1e13d50337435d5e5c71d2d29b8807995236",
+    "mc-low-confidence --json": "96fcbc8ef70560b9a894a630d38b1825b7147193f4bb3a463ed8021ee671ef5e",
     "mc-low-confidence": "0a7de29bb7a40c3be17115bf2006ff530bcb19a71dc6331be559352895655c29",
-    "mc-workers --json": "ea6943600554e014fe87f005a814f26c5af6745a5a24740e36e2b277d93ec2b3",
+    "mc-workers --json": "984d2e894b0944013e879fb779d96c6292e2d87b92bc9e591201445eb6ebe3f1",
     "mc-workers": "e827c2d653d9d7bccfcb549bdcf1cce46dceeb5d7f589732fe658dfd28e0a915",
     "tank --json": "da270f5e3be619834580c1ccfa4f14814b68b8ad319535358449208e8d45a2a2",
     "tank": "ad178bf58eb89a4f348ed43906c1c616991c9365a79a729bd6ddea6d1a5a2f99",

@@ -1,5 +1,6 @@
 """OU noise process: exact discretization, reproducible streams, statistics."""
 
+import json
 import math
 import os
 import subprocess
@@ -277,43 +278,64 @@ class TestNoisePath:
 class TestDeferredScipySignal:
     # scipy.signal is about 1 s of import time and only path generation
     # uses it, so neither the package nor a command that builds no path may
-    # load it.  scipy.special (about 0.35 s) loads on the first normal-tail
-    # evaluation, so the package, the floors and the closed-form tank never
-    # load it.  One fresh interpreter checks each stage in turn, printing
-    # (signal loaded, special loaded) after each.
-    def test_loaded_only_when_a_path_is_built(self):
+    # load it.  The normal tails run on the standard library, so nothing
+    # loads scipy.special, not even the commands that evaluate a tail
+    # (cycle, sweep, mc).  For each noise-path builder, a fresh interpreter
+    # runs every command that builds no path and then the builder, printing
+    # (signal loaded, special loaded) after each stage.
+    def test_loaded_only_when_a_path_is_built(self, tmp_path):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         env.pop("KTFLOOR_SEED", None)
-        script = (
-            "import contextlib, io, sys\n"
-            "loaded = lambda: ''.join(\n"
-            "    str(int(name in sys.modules)) for name in ('scipy.signal', 'scipy.special')\n"
-            ")\n"
-            "import ktfloor\n"
-            "seen = [loaded()]\n"
-            "from ktfloor.cli import main\n"
-            "seen.append(loaded())\n"
-            "codes = []\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    for argv in (\n"
-            "        ['floor', '--epsilon', '1e-30', '--t-obs', '1e-7', '--tau', '1e-9'],\n"
-            "        ['tank', '--inductance', '1e-9', '--c1', '1e-12', '--c2', '1e-12',\n"
-            "         '--resistance', '0.1', '--v0', '1', '--e-switch-kt', '1'],\n"
-            "        ['mc', '--cap', '1e-15', '--res', '1e6',\n"
-            "         '--threshold-sigma', '2', '--t-obs', '1e-8', '--trials', '100'],\n"
-            "    ):\n"
-            "        codes.append(main(argv))\n"
-            "        seen.append(loaded())\n"
-            "ktfloor.stationary_path(ktfloor.OuProcess(1.0, 1.0), 1.0, 3, seed=0)\n"
-            "seen.append(loaded())\n"
-            "print(codes, *seen)\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        # Package, CLI, floor and tank load neither; mc loads scipy.special
-        # only; the noise path loads scipy.signal.
-        assert done.stdout.strip() == "[0, 0, 0] 00 00 00 00 01 11"
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "variable": "epsilon", "scale": "log", "start": 1e-30, "stop": 0.4,
+            "points": 5, "fixed": {"C": 1e-15}, "output": str(tmp_path / "sweep.csv"),
+        }))
+        mc = [
+            "mc", "--cap", "1e-15", "--res", "1e6", "--threshold-sigma", "2",
+            "--t-obs", "1e-8", "--trials", "100",
+        ]
+        commands = [
+            ["floor", "--epsilon", "1e-30", "--t-obs", "1e-7", "--tau", "1e-9"],
+            ["cycle", "--cap", "1e-15", "--swing", "0.5", "--claimed-kt", "0.5"],
+            ["tank", "--inductance", "1e-9", "--c1", "1e-12", "--c2", "1e-12",
+             "--resistance", "0.1", "--v0", "1", "--e-switch-kt", "1"],
+            ["sweep", str(config)],
+            mc,
+        ]
+        builders = {
+            "stationary_path": (
+                "ktfloor.stationary_path(ktfloor.OuProcess(1.0, 1.0), 1.0, 3, seed=0)"
+            ),
+            "mc --dump-path": (
+                f"main({[*mc, '--dump-path', str(tmp_path / 'path.csv')]!r})"
+            ),
+        }
+        for name, builder in builders.items():
+            script = (
+                "import contextlib, io, sys\n"
+                "loaded = lambda: ''.join(\n"
+                "    str(int(name in sys.modules)) for name in ('scipy.signal', 'scipy.special')\n"
+                ")\n"
+                "import ktfloor\n"
+                "seen = [loaded()]\n"
+                "from ktfloor.cli import main\n"
+                "seen.append(loaded())\n"
+                "codes = []\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    for argv in {commands!r}:\n"
+                "        codes.append(main(argv))\n"
+                "        seen.append(loaded())\n"
+                f"    {builder}\n"
+                "seen.append(loaded())\n"
+                "print(codes, *seen)\n"
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            # The package, the CLI and the five commands load neither module;
+            # the noise path loads scipy.signal, which imports scipy.special.
+            assert done.stdout.strip() == "[0, 0, 0, 0, 0] 00 00 00 00 00 00 00 11", name

@@ -21,6 +21,11 @@ through ctypes views (about 0.5 us).  The draws are bit-identical to a fresh
 generator's.  Should a per-process probe find numpy's C Philox struct laid
 out otherwise, ``rekeyable_generator`` returns None and each path gets a
 fresh generator instead.
+
+``sample_path`` and ``stationary_path`` run the recursion as a Python loop
+for at most 2**16 samples per process and through ``scipy.signal.lfilter``
+otherwise, with the same bytes either way; only a process that builds more
+than 2**16 samples imports ``scipy.signal``.
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ _KEY_LIMIT = 1 << 64
 # Most samples that sample_path and stationary_path build, 256 MiB per
 # float64 array; a larger n raises ValueError before anything is allocated.
 MAX_PATH_SAMPLES = 2**25
+# Most samples a process runs through the Python AR(1) loop, and how many it
+# has run; see _recurse.
+_PYTHON_RECURSION_MAX = 2**16
+_looped_samples = 0
 
 
 class _PhiloxState(ctypes.Structure):
@@ -196,7 +205,9 @@ class OuProcess:
         a = exp(-dt/tau); b = sigma*sqrt(1 - a**2) computed via expm1 so small
         steps do not lose precision to cancellation.  Every path generator in
         this module uses these same two numbers, which keeps scalar stepping,
-        vectorized paths, and the Monte Carlo bit-identical.
+        vectorized paths, and the Monte Carlo bit-identical up to the sign of
+        a zero sample, which a vectorized path takes as ``lfilter`` does (see
+        ``_python_recurse``).
         """
         require("dt", dt, "s", gt=0)
         a = math.exp(-dt / self.correlation_time)
@@ -229,15 +240,37 @@ class NoisePath:
         write_numeric_csv(path, ("t", "V"), [(0.0, self.v0), *rows])
 
 
+def _python_recurse(a: float, b: float, z: np.ndarray, v0: float) -> np.ndarray:
+    # y[k] = a*y[k-1] + b*z[k], y[-1] = v0, with lfilter's bytes.  Both round
+    # b*z[k], a*y[k-1] and their sum.  lfilter also adds z[k-1]*0.0 (its
+    # zero-padded numerator) to a*y[k-1], which can set the sign of a zero
+    # sample; this loop adds it to b*z[k], exactly, as one addend is a zero.
+    terms = b * z
+    terms[1:] += np.copysign(0.0, z[:-1])
+    out = terms.tolist()
+    y = float(v0)
+    for k, s in enumerate(out):
+        y = a * y + s
+        out[k] = y
+    return np.array(out)
+
+
 def _recurse(a: float, b: float, z: np.ndarray, v0: float) -> np.ndarray:
-    # Importing scipy.signal costs about 1 s and 75 MB of RSS (105 against
-    # 30 MB after `import ktfloor`), and only path generation needs it, so
-    # it loads here on first use rather than with the package; the Monte
-    # Carlo and the other commands never pay it.
+    # Importing scipy.signal costs about 1 s and 70 MB of RSS, and lfilter
+    # is about 20 times faster per sample than the Python loop.  So a process
+    # runs at most _PYTHON_RECURSION_MAX samples through the loop (7-12 ms in
+    # all, about 1 % of the import), each path that fits in what is left, and
+    # the other paths through lfilter: a process that builds a short path or
+    # a few never imports scipy.signal, and one that builds many pays at most
+    # those milliseconds more than with lfilter alone.  The count is per
+    # process because the import is; threads racing on it can overrun the
+    # budget by a path each, but the bytes are the same either way.
+    global _looped_samples
+    if _looped_samples + z.size <= _PYTHON_RECURSION_MAX:
+        _looped_samples += z.size
+        return _python_recurse(a, b, z, v0)
     from scipy.signal import lfilter
 
-    # y[k] = a*y[k-1] + b*z[k], y[-1] = v0, via an IIR filter.  Bit-identical
-    # to the scalar loop: same products, and IEEE addition commutes.
     y, _ = lfilter([b], [1.0, -a], z, zi=np.array([a * v0]))
     return y
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktfloor import (
@@ -95,16 +95,21 @@ class TestReproducibility:
         p2 = sample_path(process, 1e-9, 1000, seed=42)
         assert np.array_equal(p1.samples, p2.samples)
 
-    def test_scalar_stepping_matches_vectorized_path_bitwise(self):
+    def test_scalar_stepping_matches_vectorized_path_bitwise(self, monkeypatch):
+        # Bytes, so the sign of a zero counts.  With the whole loop budget
+        # left, 50 samples run the Python loop and one past it runs lfilter.
+        monkeypatch.setattr(noise, "_looped_samples", 0)
         process = OuProcess.from_stage(STAGE)
-        z = path_generator(42, 3).standard_normal(50)
-        v = 1.5e-3
-        manual = []
-        for g in z:
-            v = process.step(v, 1e-9, g)
-            manual.append(v)
-        path = sample_path(process, 1e-9, 50, seed=42, v0=1.5e-3, path_index=3)
-        assert path.samples.tolist() == manual
+        for n in (50, noise._PYTHON_RECURSION_MAX + 1):
+            z = path_generator(42, 3).standard_normal(n)
+            v = 1.5e-3
+            manual = []
+            for g in z.tolist():
+                v = process.step(v, 1e-9, g)
+                manual.append(v)
+            path = sample_path(process, 1e-9, n, seed=42, v0=1.5e-3, path_index=3)
+            assert path.samples.tobytes() == np.array(manual).tobytes(), n
+            assert noise._looped_samples == 50, n
 
     def test_distinct_path_indices_are_distinct_streams(self):
         process = OuProcess.from_stage(STAGE)
@@ -189,6 +194,72 @@ class TestReproducibility:
         b = stationary_path(process, 1e-9, 1_000_000, seed=2).samples
         rho = np.corrcoef(a, b)[0, 1]
         assert abs(rho) < 0.01
+
+
+class TestRecursionBranches:
+    """The Python loop within its per-process budget and lfilter past it."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        # dt/tau from where a rounds to 1 to where it underflows to 0, and
+        # often where a*y underflows within 200 steps.
+        st.floats(min_value=5e-324, max_value=1e300) | st.floats(0.5, 800.0),
+        # b >= +0.0, as update_coefficients gives it, 0 when sigma underflows.
+        st.sampled_from([0.0, 5e-324]) | st.floats(min_value=0.0, max_value=1e10),
+        st.floats(allow_nan=False, allow_infinity=False),
+        # Normal draws, with both zeros often: their signs reach the samples.
+        st.lists(
+            st.sampled_from([0.0, -0.0]) | st.floats(-40.0, 40.0), min_size=1, max_size=200
+        ),
+    )
+    def test_python_loop_matches_lfilter(self, dt_over_tau, b, v0, draws):
+        from scipy.signal import lfilter
+
+        a = math.exp(-dt_over_tau)
+        z = np.array(draws)
+        expected, _ = lfilter([b], [1.0, -a], z, zi=np.array([a * v0]))
+        assert noise._python_recurse(a, b, z, v0).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "sigma, tau, dt", [(0.0, 1e-9, 1e-9), (0.0, 1.0, 1e300), (1.0, 1e300, 5e-324)]
+    )
+    def test_update_coefficients_give_positive_zero_b(self, sigma, tau, dt):
+        # The property above draws b >= +0.0: a zero sample's sign follows
+        # the draws, never a negative zero b.
+        _, b = OuProcess(sigma, tau).update_coefficients(dt)
+        assert b == 0.0 and math.copysign(1.0, b) == 1.0
+
+    @pytest.mark.parametrize(
+        "process, v0, seed",
+        [
+            (OuProcess.from_stage(STAGE), 1.5e-3, 42),
+            # Decays from v0 until a*y underflows near sample 744, where
+            # lfilter sets the sign of a zero from the draw before.
+            (OuProcess(0.0, 1e-9), -1.0, 9),
+        ],
+    )
+    def test_path_across_the_budget_keeps_its_prefix(self, process, v0, seed, monkeypatch):
+        # One stream, drawn in order: the shorter path spends the whole loop
+        # budget, the longer runs lfilter, over the same first 2**16 samples.
+        monkeypatch.setattr(noise, "_looped_samples", 0)
+        n = noise._PYTHON_RECURSION_MAX
+        short = sample_path(process, 1e-9, n, seed=seed, v0=v0).samples
+        long = sample_path(process, 1e-9, n + 1, seed=seed, v0=v0).samples
+        assert noise._looped_samples == n
+        assert long[:n].tobytes() == short.tobytes()
+
+    def test_loop_budget_is_spent_once_per_process(self, monkeypatch):
+        # Paths loop while they fit in what is left of the budget; then
+        # lfilter runs them, so a process that builds many paths pays the
+        # loop for at most _PYTHON_RECURSION_MAX samples.
+        monkeypatch.setattr(noise, "_looped_samples", 0)
+        process = OuProcess.from_stage(STAGE)
+        half = noise._PYTHON_RECURSION_MAX // 2
+        spent = []
+        for n in (half, half - 10, 11, 10, 1):
+            stationary_path(process, 1e-9, n, seed=5, path_index=n)
+            spent.append(noise._looped_samples)
+        assert spent == [half, 2 * half - 10, 2 * half - 10, 2 * half, 2 * half]
 
 
 class TestStatistics:
@@ -276,13 +347,14 @@ class TestNoisePath:
 
 
 class TestDeferredScipySignal:
-    # scipy.signal is about 1 s of import time and only path generation
-    # uses it, so neither the package nor a command that builds no path may
-    # load it.  The normal tails run on the standard library, so nothing
-    # loads scipy.special, not even the commands that evaluate a tail
-    # (cycle, sweep, mc).  For each noise-path builder, a fresh interpreter
-    # runs every command that builds no path and then the builder, printing
-    # (signal loaded, special loaded) after each stage.
+    # scipy.signal is about 1 s of import time and only a process that
+    # builds more than _PYTHON_RECURSION_MAX path samples uses it, so neither
+    # the package, nor a command, nor a short path may load it.  The normal
+    # tails run on the standard library, so nothing else loads scipy.special,
+    # not even the commands that evaluate a tail (cycle, sweep, mc).  For
+    # each noise-path builder, a fresh interpreter runs every command and
+    # then the builder, printing (signal loaded, special loaded) after each
+    # stage.
     def test_loaded_only_when_a_path_is_built(self, tmp_path):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -305,15 +377,30 @@ class TestDeferredScipySignal:
             ["sweep", str(config)],
             mc,
         ]
+        long_path = noise._PYTHON_RECURSION_MAX + 1
         builders = {
             "stationary_path": (
-                "ktfloor.stationary_path(ktfloor.OuProcess(1.0, 1.0), 1.0, 3, seed=0)"
+                "ktfloor.stationary_path(ktfloor.OuProcess(1.0, 1.0), 1.0, 3, seed=0)",
+                "00",
             ),
             "mc --dump-path": (
-                f"main({[*mc, '--dump-path', str(tmp_path / 'path.csv')]!r})"
+                f"main({[*mc, '--dump-path', str(tmp_path / 'path.csv')]!r})",
+                "00",
+            ),
+            # lfilter's module, which imports scipy.special itself.
+            "long stationary_path": (
+                "ktfloor.stationary_path("
+                f"ktfloor.OuProcess(1.0, 1.0), 1.0, {long_path}, seed=0)",
+                "11",
+            ),
+            # Short paths past the loop budget in all.
+            "many short paths": (
+                f"for i in range({long_path // 1000 + 1}): ktfloor.stationary_path("
+                "ktfloor.OuProcess(1.0, 1.0), 1.0, 1000, seed=0, path_index=i)",
+                "11",
             ),
         }
-        for name, builder in builders.items():
+        for name, (builder, after) in builders.items():
             script = (
                 "import contextlib, io, sys\n"
                 "loaded = lambda: ''.join(\n"
@@ -336,6 +423,6 @@ class TestDeferredScipySignal:
                 [sys.executable, "-c", script],
                 env=env, capture_output=True, text=True, timeout=120, check=True,
             )
-            # The package, the CLI and the five commands load neither module;
-            # the noise path loads scipy.signal, which imports scipy.special.
-            assert done.stdout.strip() == "[0, 0, 0, 0, 0] 00 00 00 00 00 00 00 11", name
+            # The package, the CLI and the five commands load neither module.
+            expected = f"[0, 0, 0, 0, 0] 00 00 00 00 00 00 00 {after}"
+            assert done.stdout.strip() == expected, name

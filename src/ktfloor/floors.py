@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -382,6 +381,9 @@ def first_passage_mc(
     if pool_size == 1:
         hits = sum(map(chunk, jobs))
     else:
+        # Only a pool imports concurrent.futures, and with it logging.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
             hits = sum(pool.map(chunk, jobs))
 

@@ -8,6 +8,7 @@ a Gauss-Legendre grid), itself pinned here against constants that were
 cross-validated with a direct 2e6-trial simulation.
 """
 
+import concurrent.futures
 import math
 import os
 import tracemalloc
@@ -624,7 +625,7 @@ class TestFirstPassageMc:
         def no_pool(*args, **kwargs):
             raise AssertionError("one chunk must not start a thread pool")
 
-        monkeypatch.setattr(floors, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         kwargs = dict(threshold=2.0 * SIGMA_1FF_300K, observation_time=1e-8, seed=7)
         pooled = first_passage_mc(make_stage(), trials=1000, workers=2, **kwargs)
         serial = first_passage_mc(make_stage(), trials=1000, workers=1, **kwargs)
@@ -649,7 +650,7 @@ class TestFirstPassageMc:
                 return map(fn, jobs)
 
         monkeypatch.setattr(floors, "_MC_CHUNK_BYTES", 100 * 11 * 8)  # 82 chunks
-        monkeypatch.setattr(floors, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         result = first_passage_mc(
             make_stage(res=1e5), 3.0 * SIGMA_1FF_300K, 1e-9, trials=8192,

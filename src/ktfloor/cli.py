@@ -419,7 +419,8 @@ _OPTIONS = (
     _Option("mc", "--seed", int, None, "N",
             f"master seed (default: KTFLOOR_SEED env var, else {DEFAULT_SEED})"),
     _Option("mc", "--workers", int, 1, "N",
-            "worker threads; results are identical for any value"),
+            "accepted for compatibility; the run is serial, so N changes "
+            "neither speed nor results"),
     _Option("mc", "--dump-path", str, None, "FILE",
             "write one sampled noise path as CSV columns (t, V)"),
     _Option("tank", "--inductance", float, ..., "H", "tank inductance in henries"),

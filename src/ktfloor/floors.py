@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -36,9 +35,8 @@ _LOG_TAIL_SEAM = 1e-280
 
 # Trials per vectorized Monte Carlo batch, fewer when a batch's
 # (trials, n_obs + 1) float64 array would pass _MC_CHUNK_BYTES: 1047 trials
-# at n_obs = 1000, all 4096 at n_obs = 10, and never fewer than one.  Not
-# worker-dependent, and per-trial streams make the hit counts independent of
-# batching anyway.
+# at n_obs = 1000, all 4096 at n_obs = 10, and never fewer than one.
+# Per-trial streams make the hit counts independent of batching.
 _MC_CHUNK = 4096
 _MC_CHUNK_BYTES = 8 * 2**20
 # Observations per trial: one path of n_obs + 1 float64 fills at most 32 MiB.
@@ -226,7 +224,8 @@ def required_swing(epsilon_target: float, stage: RcStage) -> SwingRequirement:
     U1 = 2*sigma*Phi_bar^{-1}(epsilon), so E1 = 2*kT*(Phi_bar^{-1}(epsilon))**2:
     always above the kT*ln(1/epsilon) floor, approaching 4x the floor as
     epsilon -> 0.  Uses the stage's capacitance and bath; its configured swing
-    is ignored.
+    is ignored.  Raises ValueError, naming the swing, when the swing or its
+    energy is not finite.
     """
     if not 0.0 < epsilon_target < 0.5:
         raise ValueError(
@@ -234,7 +233,16 @@ def required_swing(epsilon_target: float, stage: RcStage) -> SwingRequirement:
             f"got {epsilon_target!r}"
         )
     u1 = 2.0 * stage.noise_sigma * tail_quantile(epsilon_target)
-    e1 = 0.5 * stage.capacitance * u1**2
+    try:
+        e1 = 0.5 * stage.capacitance * u1**2
+    except OverflowError:
+        e1 = math.inf
+    if not math.isfinite(e1):
+        raise ValueError(
+            f"required swing {u1!r} V on C={stage.capacitance!r} F for "
+            f"epsilon_target={epsilon_target!r} overflows the charge energy "
+            "C*U1**2/2"
+        )
     return SwingRequirement(
         swing_voltage=u1, energy_joule=e1, energy_kt=stage.env.joules_to_kt(e1)
     )
@@ -294,9 +302,9 @@ def _chunk_hits(
 ) -> int:
     """Exceedance count for trials [first_trial, first_trial + count)."""
     z = np.empty((count, n_obs + 1))
-    # One generator per chunk, hence per thread, re-keyed for every trial by
-    # writing its Philox state words in place.  At n_obs = 10 a trial costs
-    # about 0.5 us to re-key, 1.0 us to draw its row and 0.3 us in the rest.
+    # One generator per chunk, re-keyed for every trial by writing its Philox
+    # state words in place.  At n_obs = 10 a trial costs about 0.5 us to
+    # re-key, 1.0 us to draw its row and 0.3 us in the rest.
     gen = rekeyable_generator()
     for i in range(count):
         path_generator(seed, first_trial + i, gen).standard_normal(out=z[i])
@@ -332,7 +340,9 @@ def first_passage_mc(
     correlation time for floor(observation_time/tau) observations; a trial
     hits if any observation exceeds the threshold.  Trial i always consumes
     Philox stream (seed, i), so the estimate is byte-reproducible and
-    independent of ``workers`` and of batching.
+    independent of batching.  Every chunk runs on the calling thread, so
+    ``workers`` (an integer >= 1, like ``trials``) has no effect on speed or
+    results.
 
     A batch holds whole paths in memory, about 8 MiB of them (one path when
     a path alone is larger).  Windows of more than MAX_MC_OBSERVATIONS =
@@ -349,8 +359,8 @@ def first_passage_mc(
             f"C = {stage.capacitance!r} F"
         )
     require("threshold", threshold, "V", ge=0)
-    require("trials", trials, ge=1)
-    require("workers", workers, ge=1)
+    trials = require("trials", operator.index(trials), ge=1)
+    require("workers", operator.index(workers), ge=1)
     n_obs = observation_count(observation_time, tau)
     if n_obs > MAX_MC_OBSERVATIONS:
         # Past 2**53 the count's digits come from a float quotient, so it
@@ -368,24 +378,10 @@ def first_passage_mc(
     a, b = process.update_coefficients(tau)
 
     rows = max(1, min(_MC_CHUNK, _MC_CHUNK_BYTES // (8 * (n_obs + 1))))
-    jobs = [
-        (start, min(rows, trials - start)) for start in range(0, trials, rows)
-    ]
-
-    def chunk(job: tuple[int, int]) -> int:
-        return _chunk_hits(a, b, sigma, threshold, seed, *job, n_obs)
-
-    # Each thread holds one chunk, about _MC_CHUNK_BYTES, so the pool never
-    # exceeds the chunk or core count, whatever ``workers`` asks for.
-    pool_size = min(workers, len(jobs), os.cpu_count() or 1)
-    if pool_size == 1:
-        hits = sum(map(chunk, jobs))
-    else:
-        # Only a pool imports concurrent.futures, and with it logging.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            hits = sum(pool.map(chunk, jobs))
+    hits = sum(
+        _chunk_hits(a, b, sigma, threshold, seed, start, min(rows, trials - start), n_obs)
+        for start in range(0, trials, rows)
+    )
 
     epsilon_hat = hits / trials
     std_err = math.sqrt(epsilon_hat * (1.0 - epsilon_hat) / trials)

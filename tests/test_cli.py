@@ -605,6 +605,9 @@ class TestSweepCommand:
                 "break-even energy inf / efficiency",
             ),
             ({"q": 0.5000001, "e_switch": 1.0}, "efficiency 0.0 is not finite"),
+            # The required swing's energy overflows, or its sigma already has.
+            ({"T": 1e6, "C": 5e-324}, "required swing 3.832802324417546e+154 V"),
+            ({"T": 1e300, "C": 1e-300}, "required swing inf V"),
         ],
     )
     def test_bad_fixed_value_is_domain_error(self, capsys, tmp_path, fixed, named):

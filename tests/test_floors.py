@@ -10,7 +10,6 @@ cross-validated with a direct 2e6-trial simulation.
 
 import concurrent.futures
 import math
-import os
 import tracemalloc
 from decimal import Decimal
 
@@ -442,6 +441,23 @@ class TestRequiredSwing:
         with pytest.raises(ValueError):
             required_swing(0.0, make_stage())
 
+    @pytest.mark.parametrize(
+        "temperature, cap, swing",
+        # u1**2 overflows a finite swing; kT/C overflows sigma itself.
+        [(1e6, 5e-324, "2.35186042331807e+154"), (1e300, 1e-300, "inf")],
+    )
+    def test_non_finite_swing_or_energy_is_refused_by_name(
+        self, temperature, cap, swing
+    ):
+        env = PhysicalEnvironment(temperature=temperature)
+        stage = RcStage(capacitance=cap, resistance=1e6, swing_voltage=0.0, env=env)
+        with pytest.raises(ValueError) as info:
+            required_swing(1e-12, stage)
+        assert str(info.value) == (
+            f"required swing {swing} V on C={cap!r} F for epsilon_target=1e-12 "
+            "overflows the charge energy C*U1**2/2"
+        )
+
 
 class TestObservationCount:
     def test_float_quotient_near_integer_is_that_integer(self):
@@ -520,7 +536,8 @@ class TestFirstPassageMc:
 
     def test_long_hold_pin_holds_on_two_threads(self, monkeypatch):
         # 8 MiB chunks of 1047 paths of 1001 draws: 8192 trials make 8 chunks,
-        # the last one short, and two threads share them.
+        # the last one short, which workers=2 runs in order on the calling
+        # thread.
         counts = []
         chunk_hits = floors._chunk_hits
 
@@ -529,13 +546,12 @@ class TestFirstPassageMc:
             return chunk_hits(*args)
 
         monkeypatch.setattr(floors, "_chunk_hits", recording)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         result = first_passage_mc(
             make_stage(res=1e5), 4.0 * SIGMA_1FF_300K, 1e-7, trials=8192,
             seed=12345, workers=2,
         )
         assert result.hits == 248
-        assert sorted(counts) == [863] + [1047] * 7
+        assert counts == [1047] * 7 + [863]
 
     @pytest.mark.parametrize("t_obs, limit_mib", [(1e-7, 10), (1e-9, 0.5)])
     def test_traced_peak_memory_is_bounded(self, t_obs, limit_mib):
@@ -622,8 +638,10 @@ class TestFirstPassageMc:
             first_passage_mc(stage, threshold, 1e-9, trials=8193, seed=12345)
 
     def test_single_chunk_runs_without_a_thread_pool(self, monkeypatch):
+        # Every chunk runs on the calling thread, whatever ``workers`` asks
+        # for: one chunk at workers=2, and 82 chunks at workers=10**6.
         def no_pool(*args, **kwargs):
-            raise AssertionError("one chunk must not start a thread pool")
+            raise AssertionError("the Monte Carlo must not start a thread pool")
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         kwargs = dict(threshold=2.0 * SIGMA_1FF_300K, observation_time=1e-8, seed=7)
@@ -631,33 +649,12 @@ class TestFirstPassageMc:
         serial = first_passage_mc(make_stage(), trials=1000, workers=1, **kwargs)
         assert pooled == serial
 
-    def test_thread_pool_is_bounded_by_chunks_and_cores(self, monkeypatch):
-        # The recording pool runs its jobs inline, so even a pool sized from
-        # workers=10**6 starts no thread.
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
         monkeypatch.setattr(floors, "_MC_CHUNK_BYTES", 100 * 11 * 8)  # 82 chunks
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         result = first_passage_mc(
             make_stage(res=1e5), 3.0 * SIGMA_1FF_300K, 1e-9, trials=8192,
             seed=12345, workers=10**6,
         )
         assert result.hits == 97
-        assert sizes == [2]
 
     @pytest.mark.parametrize("n_obs", [1, 7, 31, 32, 33, 64, 100, 200])
     def test_trials_consume_per_path_streams(self, monkeypatch, n_obs):
@@ -741,6 +738,19 @@ class TestFirstPassageMc:
             seed=8,
         )
         assert confident.low_confidence is False
+
+    def test_counts_must_be_integers(self):
+        stage = make_stage()
+        kwargs = dict(threshold=1e-3, observation_time=1e-8, seed=1)
+        with pytest.raises(TypeError):
+            first_passage_mc(stage, trials=2.5, **kwargs)
+        with pytest.raises(TypeError):
+            first_passage_mc(stage, trials=10, workers=2.5, **kwargs)
+        one = first_passage_mc(stage, trials=True, **kwargs)
+        assert type(one.trials) is int and one.trials == 1
+        assert first_passage_mc(
+            stage, trials=np.int64(10), workers=np.int64(2), **kwargs
+        ) == first_passage_mc(stage, trials=10, **kwargs)
 
     def test_domain_errors(self):
         stage = make_stage()

@@ -17,9 +17,13 @@ not depend on how many paths are generated, in what order, or on how work is
 split across threads.  A Philox's whole state is its (key, counter) pair, so
 a hot loop may re-key one generator from ``rekeyable_generator`` per path by
 passing it to ``path_generator``, which writes its state words in place
-through ctypes views (about 0.5 us).  The draws are bit-identical to a fresh
-generator's.  Should a per-process probe find numpy's C Philox struct laid
-out otherwise, ``rekeyable_generator`` returns None and each path gets a
+through ctypes views, and fill the path's row with numpy's C
+``random_standard_normal_fill`` (``_normal_fill``), the function
+``standard_normal`` wraps.  For 11 normals the re-key takes about 0.5 us
+and the C fill 0.5 us, where ``standard_normal(out=row)`` takes 1.1 us with
+the row view.  The draws are bit-identical to a fresh generator's.  Should a
+per-process probe find numpy's C Philox struct laid out otherwise, or the C
+fill be missing, ``rekeyable_generator`` returns None and each path gets a
 fresh generator instead.
 
 ``sample_path`` and ``stationary_path`` run the recursion as a Python loop
@@ -33,6 +37,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +49,7 @@ from .quantities import require
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 _SEED_MIN = -(1 << 63)
 _KEY_LIMIT = 1 << 64
+_SEED_RANGE = "seed must lie in [-2**63, 2**64), got {!r}"
 # Most samples that sample_path and stationary_path build, 256 MiB per
 # float64 array; a larger n raises ValueError before anything is allocated.
 MAX_PATH_SAMPLES = 2**25
@@ -134,15 +140,52 @@ def _rekeyable_generator_class() -> type:
     return RekeyableGenerator
 
 
+@functools.cache
+def _normal_fill():
+    """numpy's C ``random_standard_normal_fill(bitgen, count, out)``, or None.
+
+    The function ``Generator.standard_normal`` calls, from numpy's C API for
+    random (``numpy/random/c_distributions.pxd``), loaded as numpy's own
+    cffi example does.  Takes a bit generator's ``ctypes.bit_generator``, a
+    ``c_ssize_t`` count and a ``c_void_p`` to float64 memory.  That pointer
+    does not keep the bit generator alive, so the caller must hold it.
+    Bound on first use, like the generator subclass, as it loads
+    ``numpy.random``; None if the symbol is missing.
+    """
+    from numpy.random import _generator
+
+    # PyDLL keeps the GIL through the call, which is cheaper than releasing
+    # and retaking it per path while the Monte Carlo runs serially; chunks
+    # run on threads would need CDLL to draw concurrently.
+    try:
+        fill = ctypes.PyDLL(_generator.__file__).random_standard_normal_fill
+    except (AttributeError, OSError):
+        return None
+    fill.restype = None
+    return fill
+
+
 def rekeyable_generator() -> np.random.Generator | None:
     """A Philox-backed generator for ``path_generator`` to re-key per path.
 
     Re-keying it writes the Philox state words in place, which costs less
-    than half of numpy's state setter.  None if the installed numpy's Philox
-    struct does not have the layout that relies on: ``path_generator`` then
-    builds a fresh generator per path, with the same draws.
+    than half of numpy's state setter, and ``_normal_fill`` draws a path
+    from it through one C call.  None if the installed numpy's Philox struct
+    does not have the layout the re-key relies on, or its C normal fill
+    is missing: each path then gets a fresh generator from
+    ``path_generator``, with the same draws.
     """
-    return _rekeyable_generator_class()() if _philox_layout_matches() else None
+    if not _philox_layout_matches() or _normal_fill() is None:
+        return None
+    return _rekeyable_generator_class()()
+
+
+def _require_seed(seed) -> int:
+    """``seed`` as an int: TypeError unless integral, ValueError outside the keys."""
+    seed = operator.index(seed)
+    if not _SEED_MIN <= seed < _KEY_LIMIT:
+        raise ValueError(_SEED_RANGE.format(seed))
+    return seed
 
 
 def path_generator(
@@ -162,18 +205,21 @@ def path_generator(
     generator raises ValueError.
     """
     if not _SEED_MIN <= seed < _KEY_LIMIT:
-        raise ValueError(f"seed must lie in [-2**63, 2**64), got {seed!r}")
+        raise ValueError(_SEED_RANGE.format(seed))
     if not 0 <= path_index < _KEY_LIMIT:
         raise ValueError(f"path_index must lie in [0, 2**64), got {path_index!r}")
-    seed_word, index_word = seed & _UINT64_MASK, path_index & _UINT64_MASK
-    rekey = getattr(generator, "_rekey", None)
-    if rekey is not None:
-        rekey(seed_word, index_word)
-        return generator
-    if generator is not None:
-        raise ValueError("generator must come from rekeyable_generator()")
-    key = np.array([seed_word, index_word], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    # The masks also refuse a float key with TypeError, as the re-key's
+    # 64-bit word views do.
+    seed_word = seed & _UINT64_MASK
+    if generator is None:
+        key = np.array([seed_word, path_index & _UINT64_MASK], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+    try:
+        rekey = generator._rekey
+    except AttributeError:
+        raise ValueError("generator must come from rekeyable_generator()") from None
+    rekey(seed_word, path_index)
+    return generator
 
 
 @dataclass(frozen=True)
@@ -293,6 +339,7 @@ def sample_path(
 
     Consumes exactly n standard normals from the (seed, path_index) stream.
     """
+    seed = _require_seed(seed)
     _require_path_length(n)
     require("v0", v0, "V")
     a, b = process.update_coefficients(dt)
@@ -315,6 +362,7 @@ def stationary_path(
     the recursion.  This is the entry point for equilibrium statistics — every
     sample, including v0, is exactly N(0, sigma**2).
     """
+    seed = _require_seed(seed)
     _require_path_length(n)
     a, b = process.update_coefficients(dt)
     z = path_generator(seed, path_index).standard_normal(n + 1)

@@ -570,13 +570,36 @@ class TestFirstPassageMc:
         assert peak <= limit_mib * 2**20
 
     def test_failed_layout_probe_falls_back_to_fresh_generators(self, monkeypatch):
+        # A moved Philox struct or a missing C normal fill each leave no
+        # generator to re-key.
         args = (make_stage(res=1e5), 3.0 * SIGMA_1FF_300K, 1e-9)
         fast = first_passage_mc(*args, trials=8192, seed=12345)
-        monkeypatch.setattr(noise, "_philox_layout_matches", lambda: False)
-        assert noise.rekeyable_generator() is None
-        slow = first_passage_mc(*args, trials=8192, seed=12345)
-        assert slow.hits == 97
-        assert slow == fast
+        for name, failed in [
+            ("_philox_layout_matches", lambda: False),
+            ("_normal_fill", lambda: None),
+        ]:
+            with monkeypatch.context() as patch:
+                patch.setattr(noise, name, failed)
+                assert noise.rekeyable_generator() is None
+                slow = first_passage_mc(*args, trials=8192, seed=12345)
+            assert slow.hits == 97
+            assert slow == fast
+
+    def test_path_generator_is_called_once_per_trial(self, monkeypatch):
+        # The benchmark's tracer counts trials at this attribute.
+        calls = []
+        original = floors.path_generator
+
+        def counting(seed, index, generator=None):
+            calls.append(index)
+            return original(seed, index, generator)
+
+        monkeypatch.setattr(floors, "path_generator", counting)
+        result = first_passage_mc(
+            make_stage(res=1e5), 3.0 * SIGMA_1FF_300K, 1e-9, trials=8192, seed=12345
+        )
+        assert result.hits == 97
+        assert calls == list(range(8192))
 
     def test_chunk_byte_limit_keeps_hit_counts(self, monkeypatch):
         # 100 rows of 11 float64 per chunk instead of 4096: 82 chunks, and
@@ -751,6 +774,26 @@ class TestFirstPassageMc:
         assert first_passage_mc(
             stage, trials=np.int64(10), workers=np.int64(2), **kwargs
         ) == first_passage_mc(stage, trials=10, **kwargs)
+
+    def test_seed_must_be_an_integer_in_key_range(self, monkeypatch):
+        # Checked before any chunk is allocated or drawn.
+        def no_chunk(*args):
+            raise AssertionError("a refused seed must draw nothing")
+
+        stage = make_stage()
+        kwargs = dict(threshold=1e-3, observation_time=1e-8, trials=10)
+        with monkeypatch.context() as patch:
+            patch.setattr(floors, "_chunk_hits", no_chunk)
+            for seed in (2.5, 12345.0, "1"):
+                with pytest.raises(TypeError):
+                    first_passage_mc(stage, seed=seed, **kwargs)
+            for seed in (2**64, -(2**63) - 1):
+                with pytest.raises(ValueError) as info:
+                    first_passage_mc(stage, seed=seed, **kwargs)
+                assert str(info.value) == f"seed must lie in [-2**63, 2**64), got {seed}"
+        one = first_passage_mc(stage, seed=1, **kwargs)
+        assert first_passage_mc(stage, seed=True, **kwargs) == one
+        assert first_passage_mc(stage, seed=np.int64(1), **kwargs) == one
 
     def test_domain_errors(self):
         stage = make_stage()

@@ -1,5 +1,6 @@
 """OU noise process: exact discretization, reproducible streams, statistics."""
 
+import ctypes
 import json
 import math
 import os
@@ -129,6 +130,23 @@ class TestReproducibility:
             rekeyed = path_generator(seed, index, gen).standard_normal(1001)
             assert np.array_equal(rekeyed, fresh)
 
+    @pytest.mark.parametrize("seed", [0, -3, 12345, 2**64 - 1, -(2**63)])
+    def test_c_normal_fill_matches_standard_normal(self, seed):
+        # Lengths around Philox's 4-word buffer, so a fill ends mid-block,
+        # and the Monte Carlo's short and long rows; each fill runs on the
+        # re-keyed generator, as the Monte Carlo's does.
+        fill = noise._normal_fill()
+        gen = noise.rekeyable_generator()
+        bitgen = gen.bit_generator.ctypes.bit_generator
+        for index in (0, 1, 2**32 + 5, 2**63, 2**64 - 1):
+            for n in (*range(1, 10), 11, 1001):
+                fresh = path_generator(seed, index).standard_normal(n)
+                out = np.full(n + 1, np.nan)
+                path_generator(seed, index, gen)
+                fill(bitgen, ctypes.c_ssize_t(n), ctypes.c_void_p(out.ctypes.data))
+                assert out[:n].tobytes() == fresh.tobytes(), (index, n)
+                assert math.isnan(out[n])
+
     def test_rekey_returns_the_generator_it_was_given(self):
         gen = noise.rekeyable_generator()
         assert path_generator(3, 1, gen) is gen
@@ -172,6 +190,13 @@ class TestReproducibility:
             assert np.array_equal(got[0], fresh[0])
             assert np.array_equal(got[1], fresh[1])
 
+    def test_float_keys_rejected(self):
+        for seed, index in [(2.5, 0), (1.0, 0), (0, 2.0)]:
+            with pytest.raises(TypeError):
+                path_generator(seed, index)
+            with pytest.raises(TypeError):
+                path_generator(seed, index, noise.rekeyable_generator())
+
     @pytest.mark.parametrize(
         "seed, index", [(2**64, 0), (-(2**63) - 1, 0), (0, -1), (0, 2**64)]
     )
@@ -185,7 +210,9 @@ class TestReproducibility:
     def test_philox_layout_probe_passes_on_installed_numpy(self):
         # A numpy whose C Philox struct moved would silently lose the
         # in-place re-key; fail here instead.
+        # A numpy without a usable C normal fill would silently lose it too.
         assert noise._philox_layout_matches()
+        assert noise._normal_fill() is not None
         assert type(noise.rekeyable_generator()) is noise._rekeyable_generator_class()
 
     def test_seed_independence_cross_correlation(self):
@@ -332,6 +359,28 @@ class TestNoisePath:
         monkeypatch.setattr(noise, "path_generator", no_draw)
         with pytest.raises(Drawn):
             build(OuProcess(1.0, 1.0), 1.0, noise.MAX_PATH_SAMPLES, seed=0)
+
+    @pytest.mark.parametrize("build", [sample_path, stationary_path])
+    def test_seed_must_be_an_integer_in_key_range(self, monkeypatch, build):
+        def no_draw(*args):
+            raise AssertionError("a path generator was built")
+
+        process = OuProcess(1.0, 1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(noise, "path_generator", no_draw)
+            for seed in (2.5, 12345.0, "1"):
+                with pytest.raises(TypeError):
+                    build(process, 1.0, 3, seed=seed)
+            for seed in (2**64, -(2**63) - 1):
+                with pytest.raises(ValueError) as info:
+                    build(process, 1.0, 3, seed=seed)
+                assert str(info.value) == f"seed must lie in [-2**63, 2**64), got {seed}"
+        # A bool or numpy integer seed is the int it stands for.
+        expected = build(process, 1.0, 3, seed=1).samples.tobytes()
+        for seed in (True, np.int64(1)):
+            path = build(process, 1.0, 3, seed=seed)
+            assert type(path.seed) is int and path.seed == 1
+            assert path.samples.tobytes() == expected
 
     def test_csv_dump(self, tmp_path):
         process = OuProcess.from_stage(STAGE)

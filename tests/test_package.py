@@ -55,7 +55,8 @@ SHOW_LOADED = (
     "def show():\n"
     "    print(json.dumps([\n"
     "        sorted(m for m in sys.modules if m.startswith('ktfloor.')),\n"
-    "        [m for m in ('numpy', 'concurrent.futures', 'logging') if m in sys.modules],\n"
+    "        [m for m in ('numpy', 'numpy.random', 'concurrent.futures', 'logging')\n"
+    "         if m in sys.modules],\n"
     "    ]))\n"
 )
 
@@ -111,9 +112,11 @@ class TestImportFootprint:
     def test_monte_carlo_loads_only_its_modules_and_a_pool_on_demand(self):
         # Every chunk runs serially whatever ``workers`` asks for, so neither
         # one chunk nor two on two workers load concurrent.futures (nor the
-        # logging it imports).
+        # logging it imports).  numpy.random, which the Philox streams and
+        # the C normal fill need, loads on the first call, not on import.
         script = SHOW_LOADED + (
             "from ktfloor import PhysicalEnvironment, RcStage, first_passage_mc, floors\n"
+            "show()\n"
             "stage = RcStage(1e-15, 1e5, 0.0, PhysicalEnvironment(temperature=300.0))\n"
             "run = lambda trials: first_passage_mc(\n"
             "    stage, 6e-3, 1e-9, trials=trials, seed=1, workers=2)\n"
@@ -123,8 +126,8 @@ class TestImportFootprint:
             "run(20)\n"
             "show()\n"
         )
-        one_chunk, two_chunks = run_fresh(script)
-        modules = ["circuit", "csvout", "floors", "noise", "quantities"]
-        assert one_chunk == two_chunks == [
-            [f"ktfloor.{name}" for name in modules], ["numpy"]
-        ]
+        imported, one_chunk, two_chunks = run_fresh(script)
+        names = ["circuit", "csvout", "floors", "noise", "quantities"]
+        modules = [f"ktfloor.{name}" for name in names]
+        assert imported == [modules, ["numpy"]]
+        assert one_chunk == two_chunks == [modules, ["numpy", "numpy.random"]]

@@ -304,9 +304,7 @@ def cmd_tank(args) -> int:
             raise ValueError("closed-form efficiency is 0; the RK4 gap is undefined")
         rk4 = tank.simulate_transfer(dt=args.dt, record=args.dump_waveform is not None)
         if args.dump_waveform is not None:
-            write_numeric_csv(
-                args.dump_waveform, WAVEFORM_COLUMNS, rk4.waveform.tolist()
-            )
+            write_numeric_csv(args.dump_waveform, WAVEFORM_COLUMNS, rk4.waveform)
         rk4_gap = (rk4.efficiency - closed.efficiency) / closed.efficiency
 
     breakeven = overhead = None
@@ -505,6 +503,11 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command][0](args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy names the allocation it could not make; Python's own is bare.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -282,8 +282,15 @@ class NoisePath:
 
     def write_csv(self, path) -> None:
         """Dump the path as RFC-4180 CSV columns (t, V), including t=0."""
-        rows = zip(self.times().tolist(), self.samples.tolist())
-        write_numeric_csv(path, ("t", "V"), [(0.0, self.v0), *rows])
+        table = np.empty((self.samples.size + 1, 2))
+        table[0] = 0.0, self.v0
+        # times() without its n-sized temporaries: a running sum of ones is
+        # exactly k, so dt*k rounds as dt*arange(1, n + 1) does.
+        times = table[1:, 0]
+        np.cumsum(np.broadcast_to(1.0, times.shape), out=times)
+        times *= self.dt
+        table[1:, 1] = self.samples
+        write_numeric_csv(path, ("t", "V"), table)
 
 
 def _python_recurse(a: float, b: float, z: np.ndarray, v0: float) -> np.ndarray:

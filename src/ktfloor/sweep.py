@@ -16,7 +16,9 @@ from __future__ import annotations
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +46,9 @@ _EXTRA_FIXED = ("n_switches",)
 
 DEFAULT_SEED = 12345
 
-# Rows are derived and held in memory before anything is written.
+# Every row is derived before anything is written, and held as packed doubles:
+# 8 bytes for each cell that varies, at most 18 a row (a T sweep), so at most
+# 144 MB at this bound.
 MAX_POINTS = 1_000_000
 
 
@@ -283,29 +287,35 @@ _GROUPS = (
 COLUMNS = PARAMETERS + tuple(cell for _, _, cells in _GROUPS for cell in cells)
 
 
-def compute_rows(spec: SweepSpec) -> list[dict]:
-    """Evaluate the whole grid; raises before anything is written.
+def _derive_rows(spec: SweepSpec):
+    """Yield one row per grid point: the same dict, updated in place.
 
-    Every row carries the full COLUMNS schema; quantities the given
-    parameters do not determine are None.  Row 0 derives every cell; each
-    later row copies the one before and re-derives only the cells that read
-    the swept variable.
+    Row 0 runs every group; each later row re-runs only the groups that read
+    the swept variable, and the cells they do not write keep their values.
     """
     params = dict(spec.fixed)
     row = dict.fromkeys(COLUMNS)
     row.update((name, params.get(name)) for name in PARAMETERS)
-    rows = []
+    groups = [derive for _, derive, _ in _GROUPS]
+    rerun = [derive for reads, derive, _ in _GROUPS if spec.variable in reads]
+    env = None
     for value in spec.grid().tolist():
-        params[spec.variable] = value
-        if not rows or spec.variable == "T":
+        params[spec.variable] = row[spec.variable] = value
+        if env is None or spec.variable == "T":
             env = PhysicalEnvironment(temperature=params.get("T", ROOM_TEMPERATURE))
-        row = dict(row)
-        row[spec.variable] = value
-        for reads, derive, _ in _GROUPS:
-            if not rows or spec.variable in reads:
-                derive(params, env, row)
-        rows.append(row)
-    return rows
+        for derive in groups:
+            derive(params, env, row)
+        yield row
+        groups = rerun
+
+
+def compute_rows(spec: SweepSpec) -> list[dict]:
+    """Evaluate the whole grid; raises before anything is written.
+
+    Every row carries the full COLUMNS schema; quantities the given
+    parameters do not determine are None.
+    """
+    return [dict(row) for row in _derive_rows(spec)]
 
 
 def run_sweep(spec: SweepSpec) -> tuple[Path, Path]:
@@ -313,24 +323,26 @@ def run_sweep(spec: SweepSpec) -> tuple[Path, Path]:
 
     The CSV has one row per grid point, ordered by the swept value ascending;
     the manifest echoes the configuration and tool version.  Reruns of the
-    same spec produce byte-identical files.
+    same spec produce byte-identical files.  Every row is derived before any
+    file is opened, so a row that fails writes nothing.
     """
-    rows = compute_rows(spec)
-    csv_path = Path(spec.output_path)
-    manifest_path = csv_path.with_suffix(".manifest.json")
-
+    rows = _derive_rows(spec)
+    first = next(rows)
     # The writer renders the cells of the other columns once, from row 0.
     # Which cells are empty depends only on which parameters are given, so a
     # cell empty in row 0 is empty in every row.
     may_vary = {spec.variable}.union(
         *(cells for reads, _, cells in _GROUPS if spec.variable in reads)
     )
-    first = rows[0]
     varying = [n for n in COLUMNS if n in may_vary and first[n] is not None]
     fixed = {name: first[name] for name in COLUMNS if name not in varying}
-    write_numeric_csv(
-        csv_path, COLUMNS, ([row[name] for name in varying] for row in rows), fixed
-    )
+    cells = array("d")
+    for row in chain([first], rows):
+        cells.extend(map(row.__getitem__, varying))
+    table = np.frombuffer(cells).reshape(-1, len(varying))
+    csv_path = Path(spec.output_path)
+    manifest_path = csv_path.with_suffix(".manifest.json")
+    write_numeric_csv(csv_path, COLUMNS, table, fixed)
 
     manifest = {
         "tool": "ktfloor",
@@ -343,7 +355,7 @@ def run_sweep(spec: SweepSpec) -> tuple[Path, Path]:
         "points": spec.points,
         "fixed": dict(sorted(spec.fixed.items())),
         "seed": spec.seed,
-        "rows": len(rows),
+        "rows": len(table),
         "columns": list(COLUMNS),
         "output_csv": csv_path.name,
     }

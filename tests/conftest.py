@@ -9,6 +9,7 @@ tests.
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,16 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 _CRITERION_LINES: dict[int, str] = {}
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak bytes Python allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def record_criterion(number: int, passed: bool, detail: str) -> None:

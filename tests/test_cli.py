@@ -651,6 +651,21 @@ class TestTopLevel:
         code, _, _ = run_cli(capsys, "melt")
         assert code == 2
 
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("Unable to allocate 8.00 EiB for an array"),
+         "error: out of memory: Unable to allocate 8.00 EiB for an array\n"),
+    ])
+    def test_memory_error_is_a_one_line_domain_error(
+        self, capsys, monkeypatch, exc, message
+    ):
+        def exhausted(args):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "floor", (exhausted, "floors"))
+        code, out, err = run_cli(capsys, "floor", "--epsilon", "1e-9")
+        assert (code, out, err) == (2, "", message)
+
 
 
 # A valid value for every required option and positional of each command.

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from ktfloor import (
+    NoisePath,
     OuProcess,
     PhysicalEnvironment,
     RcStage,
@@ -21,7 +23,7 @@ from ktfloor import (
     sample_path,
     stationary_path,
 )
-from ktfloor import noise
+from ktfloor import csvout, noise
 
 ENV300 = PhysicalEnvironment(temperature=300.0)
 STAGE = RcStage(capacitance=1e-15, resistance=1e6, swing_voltage=24.08e-3, env=ENV300)
@@ -393,6 +395,28 @@ class TestNoisePath:
         assert lines[0] == "t,V"
         assert lines[1].startswith("0.00000000e+00,")
         assert lines[2].split(",")[0] == "1.00000000e-09"
+
+    def test_csv_dump_matches_a_plain_rendering(self, tmp_path):
+        # Several blocks of rows, with -0.0 at v0 and either side of the first
+        # block boundary, and a dt whose multiples round.
+        process = OuProcess.from_stage(STAGE)
+        path = stationary_path(process, process.correlation_time / 3.0, 9000, seed=5)
+        block = csvout._BLOCK_ROWS
+        path.samples[[block - 2, block - 1]] = -0.0
+        path = NoisePath(dt=path.dt, v0=-0.0, samples=path.samples, seed=5)
+        out = tmp_path / "path.csv"
+        path.write_csv(out)
+        rows = [(0.0, path.v0), *zip(path.times().tolist(), path.samples.tolist())]
+        expected = "t,V\r\n" + "".join("%.8e,%.8e\r\n" % row for row in rows)
+        assert out.read_bytes() == expected.encode()
+
+    def test_csv_dump_holds_the_packed_table_and_one_block(self, tmp_path):
+        n = 100_000
+        path = NoisePath(dt=1e-9, v0=0.5, samples=np.linspace(-1.0, 1.0, n), seed=5)
+        _, peak = traced_peak(lambda: path.write_csv(tmp_path / "path.csv"))
+        # The (t, V) table's 8-byte cells, and one block of rows as Python
+        # floats and text.
+        assert peak < 8 * 2 * (n + 1) + 2**20
 
 
 class TestDeferredScipySignal:

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from conftest import traced_peak
 from ktfloor import (
     PhysicalEnvironment, RcStage, SweepConfigError, SweepSpec, run_sweep, sweep,
 )
@@ -424,3 +425,32 @@ class TestOutputFiles:
         spec = SweepSpec.from_config(base_config(tmp_path))
         csv_path, manifest_path = run_sweep(spec)
         assert manifest_path == tmp_path / "out.manifest.json"
+
+
+class TestPackedTable:
+    @pytest.mark.parametrize("name", sorted(VARIABLE_SWEEPS))
+    def test_csv_is_a_plain_rendering_of_compute_rows(self, tmp_path, name):
+        spec = SweepSpec.from_config(
+            dict(VARIABLE_SWEEPS[name], output=str(tmp_path / "out.csv"))
+        )
+        lines = [",".join(COLUMNS)] + [
+            ",".join("" if row[n] is None else "%.8e" % row[n] for n in COLUMNS)
+            for row in compute_rows(spec)
+        ]
+        csv_path, _ = run_sweep(spec)
+        assert csv_path.read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()
+
+    def test_memory_is_bounded_by_the_packed_cells(self, tmp_path):
+        points = 20_000
+        spec = SweepSpec.from_config(base_config(
+            tmp_path, variable="C", start=1e-16, stop=1e-13, points=points,
+            fixed={"U1": 0.5, "T": 300.0, "epsilon": 1e-12, "t_o": 1e-3,
+                   "tau": 1e-10, "q": 100.0, "e_switch": 10.0},
+        ))
+        _, peak = traced_peak(lambda: run_sweep(spec))
+        # C, sigma, the five charge cells and the two required-swing cells
+        # vary: their 8-byte cells, less than as much again for the buffer's
+        # growth and the grid's floats, and one block of rows as Python
+        # floats and text.
+        packed = 8 * 9 * points
+        assert peak < 2 * packed + 2**20

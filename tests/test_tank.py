@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from ktfloor import PhysicalEnvironment, TankCircuit, symmetric_tank_efficiency
 from rk4_oracle import two_phase_transfer
 
@@ -166,6 +167,8 @@ class TestSimulation:
     def test_waveform_structure(self):
         report = make_tank(resistance=10.0).simulate_transfer(record=True)
         assert report.waveform.shape[1] == 5
+        assert report.waveform.dtype == np.float64
+        assert report.waveform.flags.c_contiguous
         t = report.waveform[:, 0]
         assert t[0] == 0.0
         assert np.all(np.diff(t) > 0)
@@ -174,6 +177,15 @@ class TestSimulation:
         # Phase 1 rows park nothing on C2.
         t1, _ = make_tank(resistance=10.0).transfer_schedule()
         assert np.all(report.waveform[t < t1, 3] == 0.0)
+
+    def test_recording_holds_the_packed_waveform_alone(self):
+        # About 10**5 steps: the waveform's 8-byte cells, and less than as
+        # much again while its buffer grows.
+        tank = make_tank(resistance=10.0)
+        report, peak = traced_peak(lambda: tank.simulate_transfer(dt=3.2e-14, record=True))
+        rows = len(report.waveform)
+        assert rows > 95_000
+        assert peak < 2 * 8 * 5 * rows
 
     def test_no_waveform_unless_recorded(self):
         assert make_tank().simulate_transfer().waveform is None

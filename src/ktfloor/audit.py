@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import RcStage
-from .floors import (
-    ErrorSpec,
-    floor_short,
-    instantaneous_error_prob,
-    log_tail_probability,
-)
+from .floors import instantaneous_error_prob, log_tail_probability
 from .quantities import require
 
 VERDICT_SUB_KT = "sub-kT"
@@ -74,9 +69,8 @@ class AuditReport:
     working threshold (zero swing: epsilon is exactly 0.5 and no floor
     applies); ``verdict_total`` is then ``"not-applicable"``.
 
-    For very large swings ``epsilon_per_observation`` underflows to 0.0
-    (the true value is below the smallest positive double); the floor
-    fields are then computed in log space and stay finite.
+    The floor is minus the log tail at threshold/sigma, so it stays exact
+    where ``epsilon_per_observation`` is subnormal or has underflowed to 0.0.
     """
 
     gate: FollowerGate
@@ -119,14 +113,9 @@ def run_cycle(gate: FollowerGate) -> AuditReport:
 
     floor_joule = floor_kt = None
     verdict_total = VERDICT_NOT_APPLICABLE
-    # At zero swing epsilon is 0.5, a fair coin, and no floor applies.  Past
-    # ~38 sigma epsilon underflows to 0.0, and the floor comes from log space.
+    # At zero swing epsilon is 0.5, a fair coin, and no floor applies.
     if epsilon < 0.5:
-        floor_kt = (
-            floor_short(ErrorSpec(epsilon=epsilon), env).floor_kt
-            if epsilon > 0.0
-            else -log_tail_probability(threshold / sigma)
-        )
+        floor_kt = -log_tail_probability(threshold / sigma)
         floor_joule = env.kt_to_joules(floor_kt)
         verdict_total = (
             VERDICT_BELOW_FLOOR if e_total < floor_joule else VERDICT_AT_OR_ABOVE_FLOOR

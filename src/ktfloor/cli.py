@@ -10,8 +10,7 @@ Subcommands::
 
 Exit codes: 0 success, 2 usage or domain error, 3 strict-audit failure.
 All output is deterministic — no timestamps, explicit float formats — so a
-rerun with the same flags and seed is byte-identical.  The default Monte
-Carlo seed can be overridden with the ``KTFLOOR_SEED`` environment variable.
+rerun with the same flags and seed is byte-identical.
 """
 
 from __future__ import annotations
@@ -19,9 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from collections import namedtuple
+from pathlib import Path
 
 from . import __version__, floors
 from .audit import CLAIM_NEGLECTS, FollowerGate, audit_claim, run_cycle
@@ -34,16 +33,17 @@ from .sweep import DEFAULT_SEED, SweepConfigError, load_config, run_sweep
 from .tank import MAX_RK4_STEPS, WAVEFORM_COLUMNS, TankCircuit, require_switch_count
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("KTFLOOR_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"KTFLOOR_SEED must be an integer, got {raw!r}") from None
+def _refuse_unwritable(name: str, path) -> None:
+    """Refuse an output file that cannot be created, before any work starts."""
+    if path is None:
+        return
+    target = Path(path)
+    if target.is_dir():
+        raise ValueError(f"{name}: cannot write {path!r}: it is a directory")
+    if not target.parent.is_dir():
+        raise ValueError(
+            f"{name}: cannot write {path!r}: {str(target.parent)!r} is not a directory"
+        )
 
 
 def _report(args, payload: dict, text: tuple, **extra) -> None:
@@ -214,19 +214,19 @@ _MC_TEXT = (
 
 
 def cmd_mc(args) -> int:
+    _refuse_unwritable("--dump-path", args.dump_path)
     env = PhysicalEnvironment(temperature=args.temp)
     stage = RcStage(
         capacitance=args.cap, resistance=args.res, swing_voltage=0.0, env=env
     )
     process = OuProcess.from_stage(stage)
-    seed = _resolve_seed(args)
     threshold = args.threshold_sigma * process.stationary_sigma
     result = first_passage_mc(
         stage=stage,
         threshold=threshold,
         observation_time=args.t_obs,
         trials=args.trials,
-        seed=seed,
+        seed=args.seed,
         workers=args.workers,
     )
     if args.dump_path is not None:
@@ -234,7 +234,7 @@ def cmd_mc(args) -> int:
             process,
             dt=process.correlation_time,
             n=result.n_observations,
-            seed=seed,
+            seed=args.seed,
             path_index=0,
         )
         path.write_csv(args.dump_path)
@@ -250,7 +250,7 @@ def cmd_mc(args) -> int:
         "observation_time_s": args.t_obs,
         "n_observations": result.n_observations,
         "trials": result.trials,
-        "seed": seed,
+        "seed": args.seed,
         "workers": args.workers,
         "hits": result.hits,
         "epsilon_hat": result.epsilon_hat,
@@ -284,6 +284,7 @@ _TANK_TEXT = (
 
 
 def cmd_tank(args) -> int:
+    _refuse_unwritable("--dump-waveform", args.dump_waveform)
     env = PhysicalEnvironment(temperature=args.temp)
     run_rk4 = args.simulate or args.dump_waveform is not None
     if args.dt is not None and not run_rk4:
@@ -363,6 +364,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"{args.config}: malformed JSON: {exc}") from None
     except SweepConfigError as exc:
         raise ValueError(f"{args.config}: {exc}") from None
+    _refuse_unwritable(f"{args.config}: field 'output'", spec.output_path)
     csv_path, manifest_path = run_sweep(spec)
     print(f"wrote {spec.points} rows to {csv_path} (manifest {manifest_path})")
     return 0
@@ -414,8 +416,7 @@ _OPTIONS = (
     _Option("mc", "--trials", int, 100000, "N", "Monte Carlo trials (default "
             "%(default)s); trials x (observations + 1) must be at most "
             f"{floors.MAX_MC_DRAWS:.0e}"),
-    _Option("mc", "--seed", int, None, "N",
-            f"master seed (default: KTFLOOR_SEED env var, else {DEFAULT_SEED})"),
+    _Option("mc", "--seed", int, DEFAULT_SEED, "N", "master seed (default %(default)s)"),
     _Option("mc", "--workers", int, 1, "N",
             "accepted for compatibility; the run is serial, so N changes "
             "neither speed nor results"),

@@ -40,7 +40,7 @@ TAIL_POINTS = [
 LOG_TAIL_POINTS = [
     -40.0, -20.0, -5.0, -1.0, -1e-3, 0.0, 1e-3, 0.5, 1.0, 3.0, 6.0, 10.0,
     20.0, 30.0, 35.0, 35.78342139466302, 35.78342139466303, 36.0, 38.0,
-    38.6, 40.0, 100.0, 1e3, 1e5, 1e10, 1e50, 1e100, 1e150,
+    38.45, 38.6, 40.0, 100.0, 1e3, 1e5, 1e10, 1e50, 1e100, 1e150,
 ]
 QUANTILE_POINTS = [
     5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-200, 1e-100, 1e-50,

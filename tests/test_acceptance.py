@@ -12,7 +12,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from ar1_oracle import exceedance_probability
@@ -39,11 +38,6 @@ from ktfloor.cli import main
 
 ENV = PhysicalEnvironment()
 KT = ENV.thermal_energy()
-
-
-@pytest.fixture(autouse=True)
-def clean_seed_env(monkeypatch):
-    monkeypatch.delenv("KTFLOOR_SEED", raising=False)
 
 
 def verdict(number, ok, detail):

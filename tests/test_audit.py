@@ -1,6 +1,7 @@
 """Follower-gate cycle audits and claim checking."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ktfloor.audit import (
     VERDICT_NOT_APPLICABLE,
     VERDICT_SUB_KT,
 )
+from test_floors import LOG_TAIL_REFERENCES
 
 ENV300 = PhysicalEnvironment(temperature=300.0)
 KT300 = ENV300.thermal_energy()
@@ -145,6 +147,17 @@ class TestRunCycle:
             report.floor_short_kt * KT300, rel=1e-15
         )
         assert report.verdict_total == VERDICT_AT_OR_ABOVE_FLOOR
+
+    def test_floor_is_exact_where_epsilon_is_subnormal(self):
+        # At 38.45 sigma epsilon is a subnormal with a few significant bits,
+        # so ln(1/epsilon) would be 0.02 kT off.  The floor must match the
+        # 60-digit log tail at that point instead.
+        x, reference = next(pair for pair in LOG_TAIL_REFERENCES if pair[0] == 38.45)
+        sigma = math.sqrt(KT300 / 1e-15)
+        report = run_cycle(make_gate(swing=2.0 * x * sigma))
+        assert 0.5 * report.gate.stage.swing_voltage / sigma == pytest.approx(x, rel=1e-15)
+        assert 0.0 < report.epsilon_per_observation < sys.float_info.min
+        assert report.floor_short_kt == pytest.approx(-float(reference), rel=1e-12)
 
     def test_zero_temperature_bath_rejected(self):
         # The bath is refused where it is built, so no gate can reach the audit.

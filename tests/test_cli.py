@@ -11,12 +11,7 @@ from ktfloor import cli
 from ktfloor.cli import _OPTIONS, build_parser, main
 from ktfloor.floors import MAX_MC_DRAWS, MAX_MC_OBSERVATIONS
 from ktfloor.sweep import DEFAULT_SEED
-from ktfloor.tank import MAX_RK4_STEPS, WAVEFORM_COLUMNS
-
-
-@pytest.fixture(autouse=True)
-def clean_seed_env(monkeypatch):
-    monkeypatch.delenv("KTFLOOR_SEED", raising=False)
+from ktfloor.tank import MAX_RK4_STEPS, WAVEFORM_COLUMNS, TankCircuit
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +98,14 @@ class TestCycleCommand:
         assert payload["verdict_friction_only"] == "sub-kT"
         assert payload["verdict_total"] == "at-or-above-floor"
         assert payload["claim_verdict"] is None
+
+    def test_floor_is_exact_where_epsilon_is_subnormal(self, capsys):
+        # 38.47 sigma: epsilon is the smallest subnormal, 4.94e-324, whose
+        # ln(1/epsilon) would print 744.44 kT.
+        code, out, _ = run_cli(capsys, "cycle", "--cap", "1e-15", "--swing", "0.1566")
+        assert code == 0
+        assert "epsilon per obs   4.94065646e-324\n" in out
+        assert "floor (short)     744.67 kT = " in out
 
     def test_per_operation_accounting_halves_energies(self, capsys):
         _, out_cycle, _ = run_cli(capsys, *self.REFERENCE, "--json")
@@ -253,18 +256,6 @@ class TestMcCommand:
         for payload in payloads:
             del payload["workers"]
         assert payloads[0] == payloads[1] == payloads[2]
-
-    def test_env_seed_matches_explicit_seed(self, capsys, monkeypatch):
-        _, explicit, _ = run_cli(capsys, *self.QUICK, "--seed", "777")
-        monkeypatch.setenv("KTFLOOR_SEED", "777")
-        _, from_env, _ = run_cli(capsys, *self.QUICK)
-        assert from_env == explicit
-
-    def test_invalid_env_seed_is_domain_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("KTFLOOR_SEED", "not-a-number")
-        code, _, err = run_cli(capsys, *self.QUICK)
-        assert code == 2
-        assert "KTFLOOR_SEED" in err
 
     def test_seed_past_64_bits_is_domain_error(self, capsys):
         # 2**64 + 12 used to be masked to seed 12 and reuse its streams.
@@ -636,6 +627,60 @@ class TestSweepCommand:
         assert code == 2
         assert "absent.json" in err
 
+    def test_non_object_root_is_an_error(self, capsys, tmp_path):
+        config = self.write_config(tmp_path, text="[]")
+        code, out, err = run_cli(capsys, "sweep", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: {config}: config root must be a JSON object\n"
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("the work ran before the output path was checked")
+
+
+class TestUnwritableOutput:
+    """An output file that cannot be created is refused before any work."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        monkeypatch.setattr(cli, "first_passage_mc", unreachable)
+        monkeypatch.setattr(TankCircuit, "simulate_transfer", unreachable)
+        monkeypatch.setattr(cli, "run_sweep", unreachable)
+
+    @pytest.fixture(params=["missing directory", "directory"])
+    def bad_path(self, request, tmp_path):
+        if request.param == "directory":
+            return str(tmp_path), "it is a directory"
+        missing = tmp_path / "absent"
+        return str(missing / "out.csv"), f"{str(missing)!r} is not a directory"
+
+    def refused(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {named}: cannot write ")
+        assert err.count("\n") == 1
+        return err
+
+    def test_mc_dump_path(self, capsys, bad_path):
+        path, reason = bad_path
+        argv = (*TestMcCommand.QUICK, "--dump-path", path)
+        assert reason in self.refused(capsys, argv, "--dump-path")
+
+    def test_tank_dump_waveform(self, capsys, bad_path):
+        path, reason = bad_path
+        argv = (*TestTankCommand.Q100, "--dump-waveform", path)
+        assert reason in self.refused(capsys, argv, "--dump-waveform")
+
+    def test_sweep_output(self, capsys, tmp_path, bad_path):
+        path, reason = bad_path
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "variable": "epsilon", "scale": "log", "start": 1e-30, "stop": 1e-3,
+            "points": 5, "output": path,
+        }))
+        err = self.refused(capsys, ("sweep", str(config)), f"{config}: field 'output'")
+        assert reason in err
+
 
 class TestTopLevel:
     def test_version_flag(self, capsys):
@@ -724,7 +769,7 @@ class TestParser:
         tank_help = " ".join(run_cli(capsys, "tank", "--help")[1].split())
         assert f"at most {MAX_MC_OBSERVATIONS}" in mc_help
         assert f"at most {MAX_MC_DRAWS:.0e}" in mc_help
-        assert f"else {DEFAULT_SEED})" in mc_help
+        assert f"(default {DEFAULT_SEED})" in mc_help
         assert f"at most {MAX_RK4_STEPS} steps" in tank_help
 
 

@@ -90,6 +90,7 @@ LOG_TAIL_REFERENCES = [
     (35.78342139466303, '-6.447238260383330193777792e+2'),
     (36.0, '-6.525032275937983968543488e+2'),
     (38.0, '-7.265572160188201300965035e+2'),
+    (38.45, '-7.437702224949255390901243e+2'),
     (38.6, '-7.495528608462078320954247e+2'),
     (40.0, '-8.046084420137537881666068e+2'),
     (100.0, '-5.005524208694205088626302e+3'),

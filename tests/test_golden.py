@@ -253,8 +253,7 @@ def test_file_bytes_match_golden_digest(golden_files, name):
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT_DIGESTS))
-def test_stdout_matches_golden_digest(capsys, monkeypatch, name):
-    monkeypatch.delenv("KTFLOOR_SEED", raising=False)
+def test_stdout_matches_golden_digest(capsys, name):
     case, _, flag = name.partition(" ")
     code = main([*STDOUT_CASES[case], *flag.split()])
     text = f"{code}\n{capsys.readouterr().out}"

@@ -432,7 +432,6 @@ class TestDeferredScipySignal:
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env.pop("KTFLOOR_SEED", None)
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({
             "variable": "epsilon", "scale": "log", "start": 1e-30, "stop": 0.4,

@@ -43,11 +43,6 @@ EXAMPLES = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def clean_seed_env(monkeypatch):
-    monkeypatch.delenv("KTFLOOR_SEED", raising=False)
-
-
 def test_readme_has_its_examples():
     assert [argv[1] for argv, _ in EXAMPLES] == [
         "floor", "floor", "cycle", "mc", "tank", "sweep",

@@ -56,6 +56,10 @@ class TestConfigValidation:
         with pytest.raises(SweepConfigError, match="'extra'"):
             SweepSpec.from_config(base_config(tmp_path, extra=1))
 
+    def test_root_must_be_an_object(self):
+        with pytest.raises(SweepConfigError, match="^config root must be a JSON object$"):
+            SweepSpec.from_config([])
+
     def test_unknown_variable(self, tmp_path):
         with pytest.raises(SweepConfigError, match="variable"):
             self.build(base_config(tmp_path, variable="voltage"))
@@ -165,6 +169,11 @@ class TestConfigValidation:
         with pytest.raises(SweepConfigError, match=f"'{name}': must be a string"):
             self.build(base_config(tmp_path, **{name: 3}))
 
+    def test_empty_output_is_refused(self, tmp_path):
+        named = "^field 'output': must be a non-empty path$"
+        with pytest.raises(SweepConfigError, match=named):
+            self.build(base_config(tmp_path, output=""))
+
     @pytest.mark.parametrize("value", [True, 12.0, "12"])
     def test_seed_must_be_an_integer(self, tmp_path, value):
         with pytest.raises(SweepConfigError, match="'seed': must be an integer"):
@@ -194,8 +203,9 @@ class TestDirectConstruction(TestConfigValidation):
     """The same configs, passed straight to SweepSpec, are checked alike."""
 
     build = staticmethod(keywords)
-    # Only from_config reads field names.
+    # Only from_config reads the root object and its field names.
     test_missing_field_named = test_unexpected_field_named = None
+    test_root_must_be_an_object = None
 
 
 class TestGrid:

@@ -39,10 +39,10 @@ def _refuse_unwritable(name: str, path) -> None:
         return
     target = Path(path)
     if target.is_dir():
-        raise ValueError(f"{name}: cannot write {path!r}: it is a directory")
+        raise ValueError(f"{name}: cannot write {str(path)!r}: it is a directory")
     if not target.parent.is_dir():
         raise ValueError(
-            f"{name}: cannot write {path!r}: {str(target.parent)!r} is not a directory"
+            f"{name}: cannot write {str(path)!r}: {str(target.parent)!r} is not a directory"
         )
 
 
@@ -364,7 +364,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"{args.config}: malformed JSON: {exc}") from None
     except SweepConfigError as exc:
         raise ValueError(f"{args.config}: {exc}") from None
-    _refuse_unwritable(f"{args.config}: field 'output'", spec.output_path)
+    for path in (spec.output_path, spec.manifest_path):
+        _refuse_unwritable(f"{args.config}: field 'output'", path)
     csv_path, manifest_path = run_sweep(spec)
     print(f"wrote {spec.points} rows to {csv_path} (manifest {manifest_path})")
     return 0

@@ -95,6 +95,11 @@ class SweepSpec:
     fixed: dict = field(default_factory=dict)
     seed: int = DEFAULT_SEED
 
+    @property
+    def manifest_path(self) -> Path:
+        """The manifest's path: the CSV's, with suffix ``.manifest.json``."""
+        return Path(self.output_path).with_suffix(".manifest.json")
+
     def __post_init__(self) -> None:
         for name, (attribute, types, kind) in _FIELDS.items():
             value = getattr(self, attribute)
@@ -341,7 +346,7 @@ def run_sweep(spec: SweepSpec) -> tuple[Path, Path]:
         cells.extend(map(row.__getitem__, varying))
     table = np.frombuffer(cells).reshape(-1, len(varying))
     csv_path = Path(spec.output_path)
-    manifest_path = csv_path.with_suffix(".manifest.json")
+    manifest_path = spec.manifest_path
     write_numeric_csv(csv_path, COLUMNS, table, fixed)
 
     manifest = {

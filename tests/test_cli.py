@@ -681,6 +681,20 @@ class TestUnwritableOutput:
         err = self.refused(capsys, ("sweep", str(config)), f"{config}: field 'output'")
         assert reason in err
 
+    def test_sweep_manifest(self, capsys, tmp_path):
+        # The manifest is written after the CSV, so a directory in its place
+        # must stop the sweep before the CSV is written.
+        manifest = tmp_path / "rows.manifest.json"
+        manifest.mkdir()
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "variable": "epsilon", "scale": "log", "start": 1e-30, "stop": 1e-3,
+            "points": 5, "output": str(tmp_path / "rows.csv"),
+        }))
+        err = self.refused(capsys, ("sweep", str(config)), f"{config}: field 'output'")
+        assert f"cannot write {str(manifest)!r}: it is a directory" in err
+        assert not (tmp_path / "rows.csv").exists()
+
 
 class TestTopLevel:
     def test_version_flag(self, capsys):

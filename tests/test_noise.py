@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
+from csv_format_check import edge_values, random_bits, ties
 from ktfloor import (
     NoisePath,
     OuProcess,
@@ -396,14 +397,22 @@ class TestNoisePath:
         assert lines[1].startswith("0.00000000e+00,")
         assert lines[2].split(",")[0] == "1.00000000e-09"
 
-    def test_csv_dump_matches_a_plain_rendering(self, tmp_path):
+    @pytest.mark.parametrize("values", ["ou", "renderer seams"])
+    def test_csv_dump_matches_a_plain_rendering(self, tmp_path, values):
         # Several blocks of rows, with -0.0 at v0 and either side of the first
-        # block boundary, and a dt whose multiples round.
+        # block boundary, and a dt whose multiples round.  The second path
+        # holds every edge value of tests/csv_format_check.py and a sample of
+        # its random families.
         process = OuProcess.from_stage(STAGE)
         path = stationary_path(process, process.correlation_time / 3.0, 9000, seed=5)
+        samples = path.samples
+        if values == "renderer seams":
+            rng = np.random.default_rng(6)
+            edges = np.concatenate(list(edge_values().values()))
+            samples = np.concatenate([edges, -edges, random_bits(rng, 1000), ties(rng, 1000)])
         block = csvout._BLOCK_ROWS
-        path.samples[[block - 2, block - 1]] = -0.0
-        path = NoisePath(dt=path.dt, v0=-0.0, samples=path.samples, seed=5)
+        samples[[block - 2, block - 1]] = -0.0
+        path = NoisePath(dt=path.dt, v0=-0.0, samples=samples, seed=5)
         out = tmp_path / "path.csv"
         path.write_csv(out)
         rows = [(0.0, path.v0), *zip(path.times().tolist(), path.samples.tolist())]

@@ -366,6 +366,11 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"{args.config}: {exc}") from None
     for path in (spec.output_path, spec.manifest_path):
         _refuse_unwritable(f"{args.config}: field 'output'", path)
+        if Path(path).exists() and Path(path).samefile(args.config):
+            raise ValueError(
+                f"{args.config}: field 'output': cannot write {str(path)!r}: "
+                "it is the config file"
+            )
     csv_path, manifest_path = run_sweep(spec)
     print(f"wrote {spec.points} rows to {csv_path} (manifest {manifest_path})")
     return 0

@@ -6,6 +6,17 @@ determine: noise sigma, cycle energies, instantaneous error probability,
 dissipation floors, required swing, tank efficiency, and switch break-even.
 Cells whose inputs are missing stay empty rather than guessed.
 
+Two paths derive the cells, with the same bits.  compute_rows, the
+reference, runs the library's scalar functions row by row; after row 0 it
+re-runs only the groups that read the swept variable.  run_sweep derives the
+first and last rows that way, so the library makes its checks there, and
+then every varying cell a column at a time, a block of rows per pass.  The
+rule for the columns: numpy only for + - * / and sqrt, which are correctly
+rounded, applied in the library's order; Python for every other function
+(math's, ** and the library's scalar functions), mapped over the rows.  A
+sweep whose first or last row is refused, or that has a cell that is not
+finite, takes the row loop, which raises the first refused row's message.
+
 Output is RFC-4180 CSV (CRLF line endings, numbers as %.8e) plus a JSON run
 manifest with the inputs, seed, and tool version — and deliberately no
 timestamps, so identical configs produce byte-identical files.
@@ -15,10 +26,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +46,10 @@ from .floors import (
     multi_sample_error,
     observation_count,
     required_swing,
+    tail_probability,
+    tail_quantile,
 )
-from .quantities import ROOM_TEMPERATURE, PhysicalEnvironment
+from .quantities import BOLTZMANN_CONSTANT, ROOM_TEMPERATURE, PhysicalEnvironment
 from .tank import break_even_energy, symmetric_tank_efficiency
 
 # Sweepable physical parameters, in canonical column order.
@@ -242,9 +256,12 @@ def _floors(params: dict, env: PhysicalEnvironment, row: dict) -> None:
             long_floor = floor_long(spec, env)
             row["floor_long_kT"] = long_floor.floor_kt
             row["floor_long_J"] = long_floor.floor_joule
-            row["multi_sample_epsilon"] = multi_sample_error(
-                epsilon, observation_count(t_obs, tau)
-            )
+            row["multi_sample_epsilon"] = _held_error(epsilon, t_obs, tau)
+
+
+def _held_error(epsilon: float, t_obs: float, tau: float) -> float:
+    """The chance of an error in the window's once-per-tau observations."""
+    return multi_sample_error(epsilon, observation_count(t_obs, tau))
 
 
 def _required_swing(params: dict, env: PhysicalEnvironment, row: dict) -> None:
@@ -292,8 +309,87 @@ _GROUPS = (
 COLUMNS = PARAMETERS + tuple(cell for _, _, cells in _GROUPS for cell in cells)
 
 
-def _derive_rows(spec: SweepSpec):
-    """Yield one row per grid point: the same dict, updated in place.
+# The column forms of the groups, run on a block of rows at once (see the
+# module docstring).  ``cells`` holds row 0 with the swept parameter's cell
+# replaced by a float64 array of the block's values; every other input stays
+# a scalar.  A form writes each of its cells as an array where it depends on
+# that array, else as a scalar.  numpy's own square, log, exp and log1p
+# differ from Python's in the last bit for some doubles, so only + - * / and
+# sqrt run in numpy, and every other function through _python.
+def _python(function, *args):
+    """``function`` of Python scalars, once per row of any array argument."""
+    args = [a.tolist() if isinstance(a, np.ndarray) else a for a in args]
+    size = next((len(a) for a in args if isinstance(a, list)), None)
+    if size is None:
+        return function(*args)
+    columns = (a if isinstance(a, list) else repeat(a, size) for a in args)
+    return np.fromiter(map(function, *columns), float, size)
+
+
+def _thermal_columns(cells: dict) -> None:
+    cells["thermal_energy_J"] = BOLTZMANN_CONSTANT * cells["T"]
+
+
+def _sigma_columns(cells: dict) -> None:
+    if cells["C"] is not None:
+        cells["sigma_V"] = np.sqrt(cells["thermal_energy_J"] / cells["C"])
+
+
+def _charge_columns(cells: dict) -> None:
+    cap, swing, kt = cells["C"], cells["U1"], cells["thermal_energy_J"]
+    if cap is not None and swing is not None:
+        stored = 0.5 * cap * _python(operator.pow, swing, 2)
+        cycle = stored + stored
+        cells.update(e1_J=stored, e1_kT=stored / kt, cycle_J=cycle, cycle_kT=cycle / kt)
+        cells["epsilon_inst"] = _python(tail_probability, 0.5 * swing / cells["sigma_V"])
+
+
+def _floors_columns(cells: dict) -> None:
+    epsilon, t_obs, tau = cells["epsilon"], cells["t_o"], cells["tau"]
+    if epsilon is not None:
+        kt = cells["thermal_energy_J"]
+        short = -_python(math.log, epsilon)
+        cells.update(floor_short_kT=short, floor_short_J=short * kt)
+        if t_obs is not None and tau is not None:
+            long_floor = short + _python(math.log, t_obs / tau)
+            cells.update(floor_long_kT=long_floor, floor_long_J=long_floor * kt)
+            cells["multi_sample_epsilon"] = _python(_held_error, epsilon, t_obs, tau)
+
+
+def _required_swing_columns(cells: dict) -> None:
+    epsilon, cap = cells["epsilon"], cells["C"]
+    if epsilon is not None and cap is not None:
+        swing = 2.0 * cells["sigma_V"] * _python(tail_quantile, epsilon)
+        energy = 0.5 * cap * _python(operator.pow, swing, 2)
+        cells.update(required_U1_V=swing, required_E1_kT=energy / cells["thermal_energy_J"])
+
+
+def _tank_columns(cells: dict) -> None:
+    quality, e_switch_kt = cells["q"], cells["e_switch"]
+    if quality is not None:
+        eta = cells["tank_efficiency"] = _python(symmetric_tank_efficiency, quality)
+        if e_switch_kt is not None:
+            break_even_kt = cells["n_switches"] * e_switch_kt / eta
+            cells["break_even_kT"] = break_even_kt
+            cells["break_even_J"] = break_even_kt * cells["thermal_energy_J"]
+
+
+_COLUMN_FORMS = {
+    _thermal: _thermal_columns,
+    _sigma: _sigma_columns,
+    _charge: _charge_columns,
+    _floors: _floors_columns,
+    _required_swing: _required_swing_columns,
+    _tank: _tank_columns,
+}
+
+# Rows per block of the column forms: their arrays and mapped floats take a
+# few hundred kB whatever the grid's size.
+_BLOCK = 4096
+
+
+def _derive_rows(spec: SweepSpec, values):
+    """Yield one row per swept value: the same dict, updated in place.
 
     Row 0 runs every group; each later row re-runs only the groups that read
     the swept variable, and the cells they do not write keep their values.
@@ -304,7 +400,7 @@ def _derive_rows(spec: SweepSpec):
     groups = [derive for _, derive, _ in _GROUPS]
     rerun = [derive for reads, derive, _ in _GROUPS if spec.variable in reads]
     env = None
-    for value in spec.grid().tolist():
+    for value in values:
         params[spec.variable] = row[spec.variable] = value
         if env is None or spec.variable == "T":
             env = PhysicalEnvironment(temperature=params.get("T", ROOM_TEMPERATURE))
@@ -320,7 +416,71 @@ def compute_rows(spec: SweepSpec) -> list[dict]:
     Every row carries the full COLUMNS schema; quantities the given
     parameters do not determine are None.
     """
-    return [dict(row) for row in _derive_rows(spec)]
+    return [dict(row) for row in _derive_rows(spec, spec.grid().tolist())]
+
+
+def _split_row(spec: SweepSpec, first: dict) -> tuple[list[str], dict]:
+    """The columns whose cells may differ from row 0's, and row 0's other cells.
+
+    The cells that may vary are the swept variable's and those of the groups
+    that read it.  Which cells are empty depends only on which parameters are
+    given, so a cell empty in row 0 is empty in every row and is not varying.
+    """
+    may_vary = {spec.variable}.union(
+        *(cells for reads, _, cells in _GROUPS if spec.variable in reads)
+    )
+    varying = [name for name in COLUMNS if name in may_vary and first[name] is not None]
+    return varying, {name: first[name] for name in COLUMNS if name not in varying}
+
+
+def _derive_packed_rows(spec: SweepSpec, grid: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The varying cells of every row, derived row by row, and the fixed cells.
+
+    The first row the library refuses raises its own message.
+    """
+    rows = _derive_rows(spec, grid.tolist())
+    first = next(rows)
+    varying, fixed = _split_row(spec, first)
+    cells = array("d")
+    for row in chain([first], rows):
+        cells.extend(map(row.__getitem__, varying))
+    return np.frombuffer(cells).reshape(-1, len(varying)), fixed
+
+
+def _derive_columns(spec: SweepSpec, grid: np.ndarray) -> tuple[np.ndarray, dict] | None:
+    """The varying cells of every row, derived a column at a time, and the fixed cells.
+
+    Returns None where only the row loop can tell: when the library refuses
+    the first or the last row, or when a varying cell is not finite, which
+    an overflow check may refuse.  The column forms make none of the
+    library's checks.  They need none: every check is monotone in the swept
+    value (a bound on it, or on a quantity monotone in it, such as sigma in
+    C or t_o/tau in t_o), so a grid whose two endpoints pass has no refused
+    row.  geomspace can put an interior point an ulp outside a narrow
+    range's endpoints, so such a grid takes the row loop too.
+    """
+    if grid.min() < grid[0] or grid.max() > grid[-1]:
+        return None
+    try:
+        first, _ = [dict(row) for row in _derive_rows(spec, grid[[0, -1]].tolist())]
+    except ValueError:
+        return None
+    varying, fixed = _split_row(spec, first)
+    forms = [_COLUMN_FORMS[derive] for reads, derive, _ in _GROUPS if spec.variable in reads]
+    n_switches = int(spec.fixed.get("n_switches", 2))
+    table = np.empty((len(grid), len(varying)))
+    with np.errstate(all="ignore"):
+        for start in range(0, len(grid), _BLOCK):
+            cells = dict(first, n_switches=n_switches)
+            cells[spec.variable] = grid[start:start + _BLOCK]
+            for form in forms:
+                form(cells)
+            block = table[start:start + _BLOCK]
+            for j, name in enumerate(varying):
+                block[:, j] = cells[name]
+            if not np.isfinite(block).all():
+                return None
+    return table, fixed
 
 
 def run_sweep(spec: SweepSpec) -> tuple[Path, Path]:
@@ -330,21 +490,13 @@ def run_sweep(spec: SweepSpec) -> tuple[Path, Path]:
     the manifest echoes the configuration and tool version.  Reruns of the
     same spec produce byte-identical files.  Every row is derived before any
     file is opened, so a row that fails writes nothing.
+
+    The varying cells are derived a column at a time where _derive_columns
+    can vouch for them, else by compute_rows' row loop; the writer renders
+    the other cells once, from row 0.
     """
-    rows = _derive_rows(spec)
-    first = next(rows)
-    # The writer renders the cells of the other columns once, from row 0.
-    # Which cells are empty depends only on which parameters are given, so a
-    # cell empty in row 0 is empty in every row.
-    may_vary = {spec.variable}.union(
-        *(cells for reads, _, cells in _GROUPS if spec.variable in reads)
-    )
-    varying = [n for n in COLUMNS if n in may_vary and first[n] is not None]
-    fixed = {name: first[name] for name in COLUMNS if name not in varying}
-    cells = array("d")
-    for row in chain([first], rows):
-        cells.extend(map(row.__getitem__, varying))
-    table = np.frombuffer(cells).reshape(-1, len(varying))
+    grid = spec.grid()
+    table, fixed = _derive_columns(spec, grid) or _derive_packed_rows(spec, grid)
     csv_path = Path(spec.output_path)
     manifest_path = spec.manifest_path
     write_numeric_csv(csv_path, COLUMNS, table, fixed)

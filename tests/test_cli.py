@@ -695,6 +695,27 @@ class TestUnwritableOutput:
         assert f"cannot write {str(manifest)!r}: it is a directory" in err
         assert not (tmp_path / "rows.csv").exists()
 
+    @pytest.mark.parametrize("config_name, output", [
+        # The CSV is the config, given by a different spelling of its path.
+        ("sweep.json", "sub/../sweep.json"),
+        # The manifest of rows.csv is rows.manifest.json, the config.
+        ("rows.manifest.json", "rows.csv"),
+    ])
+    def test_sweep_output_is_the_config(
+        self, capsys, tmp_path, monkeypatch, config_name, output
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        text = json.dumps({
+            "variable": "epsilon", "scale": "log", "start": 1e-30, "stop": 1e-3,
+            "points": 5, "output": output,
+        })
+        (tmp_path / config_name).write_text(text)
+        err = self.refused(capsys, ("sweep", config_name), f"{config_name}: field 'output'")
+        assert err.endswith(": it is the config file\n")
+        assert (tmp_path / config_name).read_text() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([config_name, "sub"])
+
 
 class TestTopLevel:
     def test_version_flag(self, capsys):

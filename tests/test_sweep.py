@@ -3,8 +3,14 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import traced_peak
 from ktfloor import (
@@ -27,6 +33,36 @@ def base_config(tmp_path, **overrides):
     }
     config.update(overrides)
     return config
+
+
+def packed_cells(spec):
+    """run_sweep's packed table and constant cells, as it hands them to the writer."""
+    handed = {}
+
+    def capture(path, columns, table, fixed):
+        handed.update(table=table, fixed=fixed)
+
+    with mock.patch.object(sweep, "write_numeric_csv", capture):
+        run_sweep(spec)
+    return handed["table"], handed["fixed"]
+
+
+def assert_packs_compute_rows(spec):
+    """The packed table holds compute_rows' floats bit for bit.
+
+    '%.8e' hides most one-ulp moves, so the CSV text alone cannot show this.
+    """
+    rows = compute_rows(spec)
+    table, fixed = packed_cells(spec)
+    varying = [name for name in COLUMNS if name not in fixed]
+    expected = np.array(
+        [[row[name] for name in varying] for row in rows], dtype=float
+    ).reshape(len(rows), len(varying))
+    differ = np.argwhere(table.view(np.uint64) != expected.view(np.uint64))
+    assert [
+        (i, varying[j], table[i, j].item(), expected[i, j].item()) for i, j in differ[:5]
+    ] == []
+    assert all(repr(row[name]) == repr(fixed[name]) for row in rows for name in fixed)
 
 
 def read_csv_columns(path):
@@ -464,3 +500,151 @@ class TestPackedTable:
         # floats and text.
         packed = 8 * 9 * points
         assert peak < 2 * packed + 2**20
+
+
+# Each fixed parameter's usual value, and the range a drawn value comes from.
+# Every range crosses a library bound: U1 < 0 or an energy past the float
+# range, C <= 0, kT <= 0, epsilon outside (0, 0.5), t_o < tau, q <= 0.5 or
+# e_switch < 0.
+SWEEP_VALUES = {
+    "U1": (0.5, -0.5, 1e200),
+    "C": (1e-15, -1e-15, 1e-12),
+    "T": (300.0, -10.0, 1e4),
+    "epsilon": (1e-9, -0.1, 0.6),
+    "t_o": (1e-6, -1e-9, 1e-3),
+    "tau": (1e-9, -1e-9, 1e-3),
+    "q": (20.0, 0.3, 1e3),
+    "e_switch": (10.0, -5.0, 100.0),
+}
+# Fixed values past an overflow or underflow: sigma that underflows to 0 V
+# (C 1e300 at T 1e-15) or overflows (C 5e-324), and a swing whose energy
+# overflows.
+EXTREMES = {"U1": [1e160, -0.0], "C": [1e300, 5e-324], "T": [1e-15, 1e300]}
+
+
+@st.composite
+def sweep_configs(draw):
+    variable = draw(st.sampled_from(PARAMETERS))
+    scale = draw(st.sampled_from(["linear", "log"]))
+    usual, lo, hi = SWEEP_VALUES[variable]
+    if scale == "log":
+        lo = max(lo, usual * 1e-6)
+    start = draw(st.one_of(st.just(usual), st.floats(lo, hi, exclude_max=True)))
+    if draw(st.booleans()):
+        stop = draw(st.one_of(st.just(hi), st.floats(start, hi, exclude_min=True)))
+    else:
+        # A range a few ulps wide.
+        stop = start
+        for _ in range(draw(st.integers(1, 8))):
+            stop = math.nextafter(stop, math.inf)
+    fixed = {}
+    for name in sorted(draw(st.sets(st.sampled_from(sorted(SWEEP_VALUES)))) - {variable}):
+        usual, low, high = SWEEP_VALUES[name]
+        fixed[name] = draw(st.one_of(
+            st.just(usual), st.floats(low, high), st.sampled_from(EXTREMES.get(name, [usual])),
+        ))
+    if draw(st.booleans()):
+        fixed["n_switches"] = draw(st.integers(2, 5))
+    return {
+        "variable": variable, "scale": scale, "start": start, "stop": stop,
+        "points": draw(st.integers(2, 25)), "fixed": fixed,
+    }
+
+
+# Ranges from a valid start to a stop past a bound, so that the first refused
+# row comes after row 0: (variable, start range, stop range, fixed).
+CROSSINGS = [
+    ("epsilon", (1e-12, 0.49), (0.5, 0.6), {}),
+    ("tau", (1e-12, 1e-6), (1.1e-6, 1e-3), {"epsilon": 1e-9, "t_o": 1e-6}),
+    # t_o/tau overflows.
+    ("t_o", (1e-290, 1.0), (1e9, 1e10), {"epsilon": 1e-9, "tau": 1e-300}),
+    # The charge energy overflows.
+    ("U1", (1e-3, 1.0), (1e160, 1e200), {"C": 1e-15}),
+    # kT/C underflows, so sigma is 0 V.
+    ("C", (1e-15, 1e280), (1e290, 1e300), {"U1": 0.5, "T": 1e-15}),
+    # The switch overhead overflows.
+    ("e_switch", (1e-3, 1e300), (1e308, 1.7e308), {"q": 20.0, "n_switches": 5}),
+]
+
+
+@st.composite
+def crossing_configs(draw):
+    variable, (a, b), (c, d), fixed = draw(st.sampled_from(CROSSINGS))
+    return {
+        "variable": variable, "scale": draw(st.sampled_from(["linear", "log"])),
+        "start": draw(st.floats(a, b)), "stop": draw(st.floats(c, d)),
+        "points": draw(st.integers(2, 25)), "fixed": fixed,
+    }
+
+
+class TestColumnPath:
+    """run_sweep derives its cells a column at a time, with compute_rows' bits."""
+
+    @pytest.mark.parametrize("name", sorted(VARIABLE_SWEEPS))
+    def test_table_is_compute_rows_bit_for_bit(self, tmp_path, name):
+        spec = SweepSpec.from_config(
+            dict(VARIABLE_SWEEPS[name], output=str(tmp_path / "out.csv"))
+        )
+        # Each of these sweeps takes the column path, not the row loop.
+        assert sweep._derive_columns(spec, spec.grid()) is not None
+        assert_packs_compute_rows(spec)
+
+    # Two-point grids, so each endpoint is a chosen value.  On numpy 2.4 and
+    # glibc each value is a hazard: Python's v**2 differs from v*v (and so
+    # from np.square) for U1, and for the required swing 2*sigma*q of each C;
+    # np.log differs from math.log for each epsilon and each t_o/tau; and
+    # np.log1p(-epsilon) from math.log1p in the multi-sample error.  A column
+    # form that called numpy's own function would move a bit here.
+    @pytest.mark.parametrize("variable, start, stop, fixed", [
+        ("U1", 0.318668, 0.853899, {"C": 1e-15}),
+        ("C", 5.884e-14, 9.521e-14, {"epsilon": 1e-9}),
+        ("epsilon", 6.022e-06, 0.3981, {}),
+        ("t_o", 9.17e-06, 79.39, {"epsilon": 1e-9, "tau": 1e-9}),
+        ("epsilon", 0.0004805, 0.0004823, {"t_o": 1e-6, "tau": 1e-9}),
+    ])
+    def test_bit_hazards_match_compute_rows(self, tmp_path, variable, start, stop, fixed):
+        spec = SweepSpec.from_config(base_config(
+            tmp_path, variable=variable, scale="linear", start=start, stop=stop,
+            points=2, fixed=fixed,
+        ))
+        assert spec.grid().tolist() == [start, stop]
+        assert sweep._derive_columns(spec, spec.grid()) is not None
+        assert_packs_compute_rows(spec)
+
+    def test_interior_point_outside_a_narrow_log_range(self, tmp_path):
+        # geomspace puts row 1 an ulp below row 0, so t_o < tau there
+        # although both endpoints pass.
+        spec = SweepSpec.from_config(base_config(
+            tmp_path, variable="t_o", start=2.5e-10, stop=2.5000000000000007e-10,
+            points=3, fixed={"epsilon": 1e-9, "tau": 2.5e-10},
+        ))
+        assert spec.grid()[1] < 2.5e-10
+        with pytest.raises(ValueError) as info:
+            run_sweep(spec)
+        assert str(info.value) == (
+            "observation_time must be >= correlation_time for the long floor "
+            "(got t_o=2.499999999999999e-10, tau=2.5e-10)"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(
+        max_examples=500,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(config=st.one_of(sweep_configs(), crossing_configs()))
+    def test_columns_match_the_row_loop(self, config):
+        with tempfile.TemporaryDirectory() as directory:
+            spec = SweepSpec.from_config(
+                dict(config, output=str(Path(directory) / "rows.csv"))
+            )
+            try:
+                compute_rows(spec)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    run_sweep(spec)
+                assert str(info.value) == str(exc)
+                assert list(Path(directory).iterdir()) == []
+            else:
+                assert_packs_compute_rows(spec)

@@ -6,16 +6,17 @@ determine: noise sigma, cycle energies, instantaneous error probability,
 dissipation floors, required swing, tank efficiency, and switch break-even.
 Cells whose inputs are missing stay empty rather than guessed.
 
-Two paths derive the cells, with the same bits.  compute_rows, the
-reference, runs the library's scalar functions row by row; after row 0 it
-re-runs only the groups that read the swept variable.  run_sweep derives the
-first and last rows that way, so the library makes its checks there, and
-then every varying cell a column at a time, a block of rows per pass.  The
-rule for the columns: numpy only for + - * / and sqrt, which are correctly
-rounded, applied in the library's order; Python for every other function
-(math's, ** and the library's scalar functions), mapped over the rows.  A
-sweep whose first or last row is refused, or that has a cell that is not
-finite, takes the row loop, which raises the first refused row's message.
+Six column forms derive every cell, a block of rows at a time: the swept
+parameter is a float64 array of the block's values and every other input a
+scalar, so a cell that does not depend on the swept value comes out a
+scalar and is rendered once.  numpy runs only + - * / and sqrt, which are
+correctly rounded, in the library's order of operations; every other
+function (math's, ** and the library's scalar functions) runs in Python,
+mapped over the rows.  The forms make none of the library's checks.
+_check_row makes them for one row by building the library's objects.  It
+runs on the grid's least and greatest values, which suffices because every
+check is monotone in the swept value, and on every row in grid order only
+when one of those is refused, so the first refused row raises its message.
 
 Output is RFC-4180 CSV (CRLF line endings, numbers as %.8e) plus a JSON run
 manifest with the inputs, seed, and tool version — and deliberately no
@@ -28,9 +29,8 @@ import json
 import math
 import operator
 import sys
-from array import array
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,6 @@ from .csvout import write_numeric_csv
 from .floors import (
     ErrorSpec,
     floor_long,
-    floor_short,
     instantaneous_error_prob,
     multi_sample_error,
     observation_count,
@@ -61,8 +60,8 @@ _EXTRA_FIXED = ("n_switches",)
 DEFAULT_SEED = 12345
 
 # Every row is derived before anything is written, and held as packed doubles:
-# 8 bytes for each cell that varies, at most 18 a row (a T sweep), so at most
-# 144 MB at this bound.
+# 8 bytes for each cell that depends on the swept value, at most 11 a row (a
+# T sweep with every other parameter fixed), so at most 88 MB at this bound.
 MAX_POINTS = 1_000_000
 
 
@@ -199,7 +198,11 @@ class SweepSpec:
         return cls(**{_FIELDS[name][0]: value for name, value in config.items()})
 
     def grid(self) -> np.ndarray:
-        """The swept values, ascending, endpoints exact."""
+        """The swept values, from start to stop, both exact.
+
+        Linear grids ascend.  np.geomspace can put a point of a log range a
+        few ulps wide an ulp outside its endpoints, so such a grid need not.
+        """
         if self.scale == "linear":
             return np.linspace(self.start, self.stop, self.points)
         return np.geomspace(self.start, self.stop, self.points)
@@ -212,51 +215,44 @@ def load_config(path) -> SweepSpec:
     return SweepSpec.from_config(config)
 
 
-# Each group derives its cells from the parameters it reads and from cells of
-# the groups before it; every group reads T through the shared environment.
-def _thermal(params: dict, env: PhysicalEnvironment, row: dict) -> None:
-    row["thermal_energy_J"] = env.thermal_energy()
+# Every CSV column: the parameters, then the derived cells, grouped by the
+# column form below that writes them.
+COLUMNS = PARAMETERS + (
+    "thermal_energy_J", "sigma_V",
+    "e1_J", "e1_kT", "cycle_J", "cycle_kT", "epsilon_inst",
+    "multi_sample_epsilon", "floor_short_kT", "floor_short_J",
+    "floor_long_kT", "floor_long_J",
+    "required_U1_V", "required_E1_kT",
+    "tank_efficiency", "break_even_kT", "break_even_J",
+)
 
 
-# No derived cell depends on R, so the row's stage uses R = 1 ohm.  _sigma
-# builds it, and the groups after it that read C take it from params rather
-# than validating C again.
-def _sigma(params: dict, env: PhysicalEnvironment, row: dict) -> None:
-    cap = params.get("C")
+def _check_row(params: dict) -> None:
+    """Make the library's checks on one row's parameters; derives no cell.
+
+    The objects are built in the order the cells are derived, so a row that
+    fails several checks raises the first one's message.
+    """
+    env = PhysicalEnvironment(temperature=params.get("T", ROOM_TEMPERATURE))
+    cap, swing, epsilon = params.get("C"), params.get("U1"), params.get("epsilon")
+    t_obs, tau = params.get("t_o"), params.get("tau")
     if cap is not None:
-        stage = params["stage"] = RcStage(cap, 1.0, params.get("U1", 0.0), env)
-        row["sigma_V"] = stage.noise_sigma
-
-
-def _charge(params: dict, env: PhysicalEnvironment, row: dict) -> None:
-    swing = params.get("U1")
-    if "C" in params and swing is not None:
-        ledger = params["stage"].full_cycle_dissipation()
-        row["e1_J"] = ledger.stored_after_charge
-        row["e1_kT"] = env.joules_to_kt(ledger.stored_after_charge)
-        row["cycle_J"] = ledger.total_dissipated
-        row["cycle_kT"] = env.joules_to_kt(ledger.total_dissipated)
-        row["epsilon_inst"] = instantaneous_error_prob(0.5 * swing, row["sigma_V"])
-
-
-def _floors(params: dict, env: PhysicalEnvironment, row: dict) -> None:
-    epsilon = params.get("epsilon")
-    t_obs = params.get("t_o")
-    tau = params.get("tau")
+        # No derived cell depends on R, so the stage uses R = 1 ohm.
+        stage = RcStage(cap, 1.0, 0.0 if swing is None else swing, env)
+        if swing is not None:
+            stage.charge_energy()
+            instantaneous_error_prob(0.5 * swing, stage.noise_sigma)
     if epsilon is not None:
-        spec = ErrorSpec(
-            epsilon=epsilon,
-            observation_time=t_obs if t_obs is not None else 0.0,
-            correlation_time=tau,
-        )
-        short = floor_short(spec, env)
-        row["floor_short_kT"] = short.floor_kt
-        row["floor_short_J"] = short.floor_joule
+        spec = ErrorSpec(epsilon, 0.0 if t_obs is None else t_obs, tau)
         if t_obs is not None and tau is not None:
-            long_floor = floor_long(spec, env)
-            row["floor_long_kT"] = long_floor.floor_kt
-            row["floor_long_J"] = long_floor.floor_joule
-            row["multi_sample_epsilon"] = _held_error(epsilon, t_obs, tau)
+            floor_long(spec, env)
+            _held_error(epsilon, t_obs, tau)
+        if cap is not None:
+            required_swing(epsilon, stage)
+    if params.get("q") is not None:
+        eta = symmetric_tank_efficiency(params["q"])
+        if params.get("e_switch") is not None:
+            break_even_energy(params["e_switch"], eta, int(params.get("n_switches", 2)))
 
 
 def _held_error(epsilon: float, t_obs: float, tau: float) -> float:
@@ -264,58 +260,13 @@ def _held_error(epsilon: float, t_obs: float, tau: float) -> float:
     return multi_sample_error(epsilon, observation_count(t_obs, tau))
 
 
-def _required_swing(params: dict, env: PhysicalEnvironment, row: dict) -> None:
-    epsilon = params.get("epsilon")
-    if epsilon is not None and "C" in params:
-        need = required_swing(epsilon, params["stage"])
-        row["required_U1_V"] = need.swing_voltage
-        row["required_E1_kT"] = need.energy_kt
-
-
-def _tank(params: dict, env: PhysicalEnvironment, row: dict) -> None:
-    quality = params.get("q")
-    if quality is not None:
-        eta = symmetric_tank_efficiency(quality)
-        row["tank_efficiency"] = eta
-        e_switch_kt = params.get("e_switch")
-        if e_switch_kt is not None:
-            _, break_even_kt = break_even_energy(
-                e_switch_kt, eta, int(params.get("n_switches", 2))
-            )
-            row["break_even_kT"] = break_even_kt
-            row["break_even_J"] = env.kt_to_joules(break_even_kt)
-
-
-# (parameters read, derivation, cells written), in derivation order.  A row
-# differs from the row before only in the swept parameter and in the cells
-# of the groups that read it, so only those groups run again.
-_GROUPS = (
-    ({"T"}, _thermal, ("thermal_energy_J",)),
-    ({"T", "C", "U1"}, _sigma, ("sigma_V",)),
-    ({"T", "C", "U1"}, _charge, (
-        "e1_J", "e1_kT", "cycle_J", "cycle_kT", "epsilon_inst",
-    )),
-    ({"T", "epsilon", "t_o", "tau"}, _floors, (
-        "multi_sample_epsilon", "floor_short_kT", "floor_short_J",
-        "floor_long_kT", "floor_long_J",
-    )),
-    ({"T", "epsilon", "C"}, _required_swing, ("required_U1_V", "required_E1_kT")),
-    ({"T", "q", "e_switch", "n_switches"}, _tank, (
-        "tank_efficiency", "break_even_kT", "break_even_J",
-    )),
-)
-
-# Every CSV column: the parameters, then each group's cells.
-COLUMNS = PARAMETERS + tuple(cell for _, _, cells in _GROUPS for cell in cells)
-
-
-# The column forms of the groups, run on a block of rows at once (see the
-# module docstring).  ``cells`` holds row 0 with the swept parameter's cell
-# replaced by a float64 array of the block's values; every other input stays
-# a scalar.  A form writes each of its cells as an array where it depends on
-# that array, else as a scalar.  numpy's own square, log, exp and log1p
-# differ from Python's in the last bit for some doubles, so only + - * / and
-# sqrt run in numpy, and every other function through _python.
+# The column forms derive every cell of a block of rows at once (see the
+# module docstring).  ``cells`` holds the parameters, the swept one as a
+# float64 array of the block's values and the rest as given; a form writes
+# each of its cells as an array where it depends on that array, else as a
+# scalar.  numpy's own square, log, exp and log1p differ from Python's in
+# the last bit for some doubles, so only + - * / and sqrt run in numpy, and
+# every other function through _python.
 def _python(function, *args):
     """``function`` of Python scalars, once per row of any array argument."""
     args = [a.tolist() if isinstance(a, np.ndarray) else a for a in args]
@@ -327,12 +278,18 @@ def _python(function, *args):
 
 
 def _thermal_columns(cells: dict) -> None:
-    cells["thermal_energy_J"] = BOLTZMANN_CONSTANT * cells["T"]
+    temperature = cells["T"]
+    cells["thermal_energy_J"] = BOLTZMANN_CONSTANT * (
+        ROOM_TEMPERATURE if temperature is None else temperature
+    )
 
 
 def _sigma_columns(cells: dict) -> None:
     if cells["C"] is not None:
-        cells["sigma_V"] = np.sqrt(cells["thermal_energy_J"] / cells["C"])
+        variance = cells["thermal_energy_J"] / cells["C"]
+        # math.sqrt keeps a row-invariant cell a Python float.
+        sqrt = np.sqrt if isinstance(variance, np.ndarray) else math.sqrt
+        cells["sigma_V"] = sqrt(variance)
 
 
 def _charge_columns(cells: dict) -> None:
@@ -369,134 +326,93 @@ def _tank_columns(cells: dict) -> None:
     if quality is not None:
         eta = cells["tank_efficiency"] = _python(symmetric_tank_efficiency, quality)
         if e_switch_kt is not None:
-            break_even_kt = cells["n_switches"] * e_switch_kt / eta
+            break_even_kt = int(cells.get("n_switches", 2)) * e_switch_kt / eta
             cells["break_even_kT"] = break_even_kt
             cells["break_even_J"] = break_even_kt * cells["thermal_energy_J"]
 
 
-_COLUMN_FORMS = {
-    _thermal: _thermal_columns,
-    _sigma: _sigma_columns,
-    _charge: _charge_columns,
-    _floors: _floors_columns,
-    _required_swing: _required_swing_columns,
-    _tank: _tank_columns,
-}
+_FORMS = (
+    _thermal_columns, _sigma_columns, _charge_columns,
+    _floors_columns, _required_swing_columns, _tank_columns,
+)
 
 # Rows per block of the column forms: their arrays and mapped floats take a
 # few hundred kB whatever the grid's size.
 _BLOCK = 4096
 
 
-def _derive_rows(spec: SweepSpec, values):
-    """Yield one row per swept value: the same dict, updated in place.
+def _check_grid(spec: SweepSpec, grid: np.ndarray) -> None:
+    """Raise the first refused row's message, if the library refuses a row.
 
-    Row 0 runs every group; each later row re-runs only the groups that read
-    the swept variable, and the cells they do not write keep their values.
+    Every check is monotone in the swept value (a bound on it, or on a
+    quantity monotone in it, such as sigma in C or t_o/tau in t_o), so a
+    grid whose least and greatest values pass has no refused row.  Only
+    when one of those is refused are the rows checked in grid order.
     """
-    params = dict(spec.fixed)
-    row = dict.fromkeys(COLUMNS)
-    row.update((name, params.get(name)) for name in PARAMETERS)
-    groups = [derive for _, derive, _ in _GROUPS]
-    rerun = [derive for reads, derive, _ in _GROUPS if spec.variable in reads]
-    env = None
-    for value in values:
-        params[spec.variable] = row[spec.variable] = value
-        if env is None or spec.variable == "T":
-            env = PhysicalEnvironment(temperature=params.get("T", ROOM_TEMPERATURE))
-        for derive in groups:
-            derive(params, env, row)
-        yield row
-        groups = rerun
+    try:
+        for value in (grid.min(), grid.max()):
+            _check_row({**spec.fixed, spec.variable: value.item()})
+    except ValueError:
+        for value in grid.tolist():
+            _check_row({**spec.fixed, spec.variable: value})
+        raise
+
+
+def _columns(spec: SweepSpec, values: np.ndarray) -> dict:
+    """Every cell of the rows whose swept values are ``values``."""
+    cells = dict.fromkeys(COLUMNS)
+    cells.update(spec.fixed)
+    cells[spec.variable] = values
+    with np.errstate(all="ignore"):
+        for form in _FORMS:
+            form(cells)
+    return cells
+
+
+def _derive(spec: SweepSpec) -> tuple[np.ndarray, dict]:
+    """The cells that vary with the swept value, packed, and the other cells.
+
+    A cell varies exactly when its form gives an array.  The first refused
+    row raises its message before any cell is derived.
+    """
+    grid = spec.grid()
+    _check_grid(spec, grid)
+    first = _columns(spec, grid[:_BLOCK])
+    varying = [name for name in COLUMNS if isinstance(first[name], np.ndarray)]
+    table = np.empty((len(grid), len(varying)))
+    for start in range(0, len(grid), _BLOCK):
+        cells = _columns(spec, grid[start:start + _BLOCK]) if start else first
+        for j, name in enumerate(varying):
+            table[start:start + _BLOCK, j] = cells[name]
+    return table, {name: first[name] for name in COLUMNS if name not in varying}
 
 
 def compute_rows(spec: SweepSpec) -> list[dict]:
     """Evaluate the whole grid; raises before anything is written.
 
-    Every row carries the full COLUMNS schema; quantities the given
-    parameters do not determine are None.
+    The rows hold run_sweep's cells as Python floats, with parameters given
+    as ints kept as given.  Every row carries the full COLUMNS schema;
+    quantities the given parameters do not determine are None.
     """
-    return [dict(row) for row in _derive_rows(spec, spec.grid().tolist())]
-
-
-def _split_row(spec: SweepSpec, first: dict) -> tuple[list[str], dict]:
-    """The columns whose cells may differ from row 0's, and row 0's other cells.
-
-    The cells that may vary are the swept variable's and those of the groups
-    that read it.  Which cells are empty depends only on which parameters are
-    given, so a cell empty in row 0 is empty in every row and is not varying.
-    """
-    may_vary = {spec.variable}.union(
-        *(cells for reads, _, cells in _GROUPS if spec.variable in reads)
-    )
-    varying = [name for name in COLUMNS if name in may_vary and first[name] is not None]
-    return varying, {name: first[name] for name in COLUMNS if name not in varying}
-
-
-def _derive_packed_rows(spec: SweepSpec, grid: np.ndarray) -> tuple[np.ndarray, dict]:
-    """The varying cells of every row, derived row by row, and the fixed cells.
-
-    The first row the library refuses raises its own message.
-    """
-    rows = _derive_rows(spec, grid.tolist())
-    first = next(rows)
-    varying, fixed = _split_row(spec, first)
-    cells = array("d")
-    for row in chain([first], rows):
-        cells.extend(map(row.__getitem__, varying))
-    return np.frombuffer(cells).reshape(-1, len(varying)), fixed
-
-
-def _derive_columns(spec: SweepSpec, grid: np.ndarray) -> tuple[np.ndarray, dict] | None:
-    """The varying cells of every row, derived a column at a time, and the fixed cells.
-
-    Returns None where only the row loop can tell: when the library refuses
-    the first or the last row, or when a varying cell is not finite, which
-    an overflow check may refuse.  The column forms make none of the
-    library's checks.  They need none: every check is monotone in the swept
-    value (a bound on it, or on a quantity monotone in it, such as sigma in
-    C or t_o/tau in t_o), so a grid whose two endpoints pass has no refused
-    row.  geomspace can put an interior point an ulp outside a narrow
-    range's endpoints, so such a grid takes the row loop too.
-    """
-    if grid.min() < grid[0] or grid.max() > grid[-1]:
-        return None
-    try:
-        first, _ = [dict(row) for row in _derive_rows(spec, grid[[0, -1]].tolist())]
-    except ValueError:
-        return None
-    varying, fixed = _split_row(spec, first)
-    forms = [_COLUMN_FORMS[derive] for reads, derive, _ in _GROUPS if spec.variable in reads]
-    n_switches = int(spec.fixed.get("n_switches", 2))
-    table = np.empty((len(grid), len(varying)))
-    with np.errstate(all="ignore"):
-        for start in range(0, len(grid), _BLOCK):
-            cells = dict(first, n_switches=n_switches)
-            cells[spec.variable] = grid[start:start + _BLOCK]
-            for form in forms:
-                form(cells)
-            block = table[start:start + _BLOCK]
-            for j, name in enumerate(varying):
-                block[:, j] = cells[name]
-            if not np.isfinite(block).all():
-                return None
-    return table, fixed
+    table, fixed = _derive(spec)
+    varying = [name for name in COLUMNS if name not in fixed]
+    template = dict.fromkeys(COLUMNS)
+    template.update(fixed)
+    return [{**template, **dict(zip(varying, row))} for row in table.tolist()]
 
 
 def run_sweep(spec: SweepSpec) -> tuple[Path, Path]:
     """Execute the sweep; returns (csv_path, manifest_path).
 
-    The CSV has one row per grid point, ordered by the swept value ascending;
-    the manifest echoes the configuration and tool version.  Reruns of the
-    same spec produce byte-identical files.  Every row is derived before any
-    file is opened, so a row that fails writes nothing.
+    The CSV has one row per grid point, in the order of SweepSpec.grid; the
+    manifest echoes the configuration and tool version.  Reruns of the same
+    spec produce byte-identical files.  Every row is checked and derived
+    before any file is opened, so a refused row writes nothing.
 
-    The varying cells are derived a column at a time where _derive_columns
-    can vouch for them, else by compute_rows' row loop; the writer renders
-    the other cells once, from row 0.
+    The cells that vary with the swept value go to the writer as one packed
+    table; it renders the other cells once.
     """
-    grid = spec.grid()
-    table, fixed = _derive_columns(spec, grid) or _derive_packed_rows(spec, grid)
+    table, fixed = _derive(spec)
     csv_path = Path(spec.output_path)
     manifest_path = spec.manifest_path
     write_numeric_csv(csv_path, COLUMNS, table, fixed)

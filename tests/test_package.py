@@ -131,3 +131,14 @@ class TestImportFootprint:
         modules = [f"ktfloor.{name}" for name in names]
         assert imported == [modules, ["numpy"]]
         assert one_chunk == two_chunks == [modules, ["numpy", "numpy.random"]]
+
+    def test_oracles_import_no_library_code(self):
+        # The oracles in tests/ arbitrate the library's numbers, so they must
+        # not run its code: none imports ktfloor, though it is on the path.
+        tests = str(Path(__file__).resolve().parent)
+        script = (
+            f"import json, sys\nsys.path.insert(0, {tests!r})\n"
+            "import ar1_oracle, rk4_oracle, sweep_oracle\n"
+            "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'ktfloor']))\n"
+        )
+        assert run_fresh(script) == [[]]

@@ -7,16 +7,14 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sweep_oracle
 from conftest import traced_peak
-from ktfloor import (
-    PhysicalEnvironment, RcStage, SweepConfigError, SweepSpec, run_sweep, sweep,
-)
-from ktfloor.sweep import _GROUPS, COLUMNS, MAX_POINTS, PARAMETERS, compute_rows
+from ktfloor import RcStage, SweepConfigError, SweepSpec, run_sweep, sweep
+from ktfloor.sweep import COLUMNS, MAX_POINTS, PARAMETERS, compute_rows
 from test_golden import VARIABLE_SWEEPS
 
 
@@ -35,8 +33,9 @@ def base_config(tmp_path, **overrides):
     return config
 
 
-def packed_cells(spec):
-    """run_sweep's packed table and constant cells, as it hands them to the writer."""
+def packed_rows(spec):
+    """run_sweep's cells as rows, from the packed table and constant cells it
+    hands the writer."""
     handed = {}
 
     def capture(path, columns, table, fixed):
@@ -44,25 +43,36 @@ def packed_cells(spec):
 
     with mock.patch.object(sweep, "write_numeric_csv", capture):
         run_sweep(spec)
-    return handed["table"], handed["fixed"]
-
-
-def assert_packs_compute_rows(spec):
-    """The packed table holds compute_rows' floats bit for bit.
-
-    '%.8e' hides most one-ulp moves, so the CSV text alone cannot show this.
-    """
-    rows = compute_rows(spec)
-    table, fixed = packed_cells(spec)
+    fixed = handed["fixed"]
     varying = [name for name in COLUMNS if name not in fixed]
-    expected = np.array(
-        [[row[name] for name in varying] for row in rows], dtype=float
-    ).reshape(len(rows), len(varying))
-    differ = np.argwhere(table.view(np.uint64) != expected.view(np.uint64))
-    assert [
-        (i, varying[j], table[i, j].item(), expected[i, j].item()) for i, j in differ[:5]
-    ] == []
-    assert all(repr(row[name]) == repr(fixed[name]) for row in rows for name in fixed)
+    return [dict(fixed, **dict(zip(varying, row))) for row in handed["table"].tolist()]
+
+
+def oracle_rows(spec):
+    return sweep_oracle.sweep_rows(spec.variable, spec.grid().tolist(), spec.fixed)
+
+
+def assert_same_bits(rows, expected):
+    """Every cell of ``rows`` is ``expected``'s, bit for bit and of its type.
+
+    A float's repr gives its bits back, and an int's differs from the equal
+    float's.  '%.8e' hides most one-ulp moves, so the CSV text alone cannot
+    show this.
+    """
+    assert len(rows) == len(expected)
+    differ = [
+        (i, name, row[name], want[name])
+        for i, (row, want) in enumerate(zip(rows, expected))
+        for name in COLUMNS if repr(row[name]) != repr(want[name])
+    ]
+    assert differ[:5] == []
+
+
+def assert_matches_oracle(spec):
+    """compute_rows and run_sweep's packed table both hold the oracle's cells."""
+    expected = oracle_rows(spec)
+    assert_same_bits(compute_rows(spec), expected)
+    assert_same_bits(packed_rows(spec), expected)
 
 
 def read_csv_columns(path):
@@ -360,46 +370,79 @@ class TestDerivedColumns:
         assert not (tmp_path / "out.csv").exists()
 
 
+def count_stages(monkeypatch):
+    """The capacitances of the RcStages the sweep builds from now on."""
+    built = []
+
+    class CountingStage(RcStage):
+        def __post_init__(self):
+            built.append(self.capacitance)
+            super().__post_init__()
+
+    monkeypatch.setattr(sweep, "RcStage", CountingStage)
+    return built
+
+
+def record_checks(monkeypatch):
+    """The parameters of the rows the sweep checks from now on."""
+    checked = []
+    check_row = sweep._check_row
+
+    def recording(params):
+        checked.append(params)
+        check_row(params)
+
+    monkeypatch.setattr(sweep, "_check_row", recording)
+    return checked
+
+
 class TestRowInvariantCells:
     @pytest.mark.parametrize("name", sorted(VARIABLE_SWEEPS))
     def test_rows_match_a_full_derivation_of_every_row(self, tmp_path, name):
-        # compute_rows derives row 0 in full and then only the groups that
-        # read the swept variable; deriving every group for every row must
-        # give the same rows.
+        # The oracle derives every cell of every row on its own.
         spec = SweepSpec.from_config(
             dict(VARIABLE_SWEEPS[name], output=str(tmp_path / "out.csv"))
         )
-        expected = []
-        for value in spec.grid().tolist():
-            params = dict(spec.fixed, **{spec.variable: value})
-            row = dict.fromkeys(COLUMNS)
-            row.update((key, params.get(key)) for key in PARAMETERS)
-            env = PhysicalEnvironment(temperature=params.get("T", 300.0))
-            for _, derive, _ in _GROUPS:
-                derive(params, env, row)
-            expected.append(row)
-        assert compute_rows(spec) == expected
+        assert_same_bits(compute_rows(spec), oracle_rows(spec))
 
     @pytest.mark.parametrize("variable", ["C", "U1", "T", "epsilon"])
     def test_groups_share_one_stage_per_row(self, tmp_path, monkeypatch, variable):
-        # sigma, the cycle energies and the required swing all read C; a row
-        # that re-derives any of them builds one stage, and a row that
-        # re-derives none of them builds none.
-        built = []
-
-        class CountingStage(RcStage):
-            def __post_init__(self):
-                built.append(self.capacitance)
-                super().__post_init__()
-
-        monkeypatch.setattr(sweep, "RcStage", CountingStage)
+        # sigma, the cycle energies and the required swing all read C, and a
+        # checked row builds one stage for all of them.  An accepted sweep
+        # checks its least and greatest values only, whatever its size.
+        built = count_stages(monkeypatch)
+        checked = record_checks(monkeypatch)
         fixed = {"C": 1e-15, "U1": 0.5, "T": 300.0, "epsilon": 1e-9}
         del fixed[variable]
+        for points in (2, 5, 5000):
+            spec = SweepSpec.from_config(base_config(
+                tmp_path, variable=variable, start=0.1, stop=0.4, points=points,
+                fixed=fixed,
+            ))
+            del built[:], checked[:]
+            run_sweep(spec)
+            assert [params[variable] for params in checked] == [0.1, 0.4]
+            assert len(built) == 2
+
+    @pytest.mark.parametrize("variable, scale, start, stop, points, fixed, refused", [
+        # The least value is refused, so the check stops at row 0.
+        ("C", "log", 1e-16, 1e-14, 7, {"U1": -0.5}, 0),
+        # The greatest value is refused; row 4 reaches epsilon = 0.5.
+        ("epsilon", "linear", 0.1, 0.6, 6, {}, 4),
+    ])
+    def test_refused_sweep_stops_at_its_first_refused_row(
+        self, tmp_path, monkeypatch, variable, scale, start, stop, points, fixed, refused
+    ):
+        checked = record_checks(monkeypatch)
         spec = SweepSpec.from_config(base_config(
-            tmp_path, variable=variable, start=0.1, stop=0.4, points=5, fixed=fixed,
+            tmp_path, variable=variable, scale=scale, start=start, stop=stop,
+            points=points, fixed=fixed,
         ))
-        compute_rows(spec)
-        assert len(built) == (1 if variable == "epsilon" else 5)
+        with pytest.raises(ValueError):
+            run_sweep(spec)
+        values = [params[variable] for params in checked]
+        extremes = [start] if refused == 0 else [start, stop]
+        assert values == extremes + spec.grid().tolist()[:refused + 1]
 
     @pytest.mark.parametrize(
         "variable, scale, start, stop, points, fixed, message",
@@ -578,23 +621,24 @@ def crossing_configs(draw):
 
 
 class TestColumnPath:
-    """run_sweep derives its cells a column at a time, with compute_rows' bits."""
+    """The column forms derive every cell, with the oracle's bits."""
 
     @pytest.mark.parametrize("name", sorted(VARIABLE_SWEEPS))
     def test_table_is_compute_rows_bit_for_bit(self, tmp_path, name):
+        # With test_rows_match_a_full_derivation_of_every_row, this holds
+        # run_sweep's table to the oracle.
         spec = SweepSpec.from_config(
             dict(VARIABLE_SWEEPS[name], output=str(tmp_path / "out.csv"))
         )
-        # Each of these sweeps takes the column path, not the row loop.
-        assert sweep._derive_columns(spec, spec.grid()) is not None
-        assert_packs_compute_rows(spec)
+        assert_same_bits(packed_rows(spec), compute_rows(spec))
 
     # Two-point grids, so each endpoint is a chosen value.  On numpy 2.4 and
     # glibc each value is a hazard: Python's v**2 differs from v*v (and so
     # from np.square) for U1, and for the required swing 2*sigma*q of each C;
     # np.log differs from math.log for each epsilon and each t_o/tau; and
     # np.log1p(-epsilon) from math.log1p in the multi-sample error.  A column
-    # form that called numpy's own function would move a bit here.
+    # form that called numpy's own function would move a bit away from the
+    # oracle here.
     @pytest.mark.parametrize("variable, start, stop, fixed", [
         ("U1", 0.318668, 0.853899, {"C": 1e-15}),
         ("C", 5.884e-14, 9.521e-14, {"epsilon": 1e-9}),
@@ -608,8 +652,21 @@ class TestColumnPath:
             points=2, fixed=fixed,
         ))
         assert spec.grid().tolist() == [start, stop]
-        assert sweep._derive_columns(spec, spec.grid()) is not None
-        assert_packs_compute_rows(spec)
+        assert_matches_oracle(spec)
+
+    def test_non_finite_cells_take_the_column_path(self, tmp_path, monkeypatch):
+        # kT/C overflows, so every sigma is inf and every epsilon_inst 0.5;
+        # the library accepts that, and only the two extreme rows are
+        # checked, each building one stage.
+        spec = SweepSpec.from_config(base_config(
+            tmp_path, variable="C", start=1e-300, stop=1e-290, points=2000,
+            fixed={"T": 1e300, "U1": 0.5},
+        ))
+        built = count_stages(monkeypatch)
+        rows = packed_rows(spec)
+        assert len(built) == 2
+        assert all(row["sigma_V"] == math.inf for row in rows)
+        assert_same_bits(rows, oracle_rows(spec))
 
     def test_interior_point_outside_a_narrow_log_range(self, tmp_path):
         # geomspace puts row 1 an ulp below row 0, so t_o < tau there
@@ -635,16 +692,20 @@ class TestColumnPath:
     )
     @given(config=st.one_of(sweep_configs(), crossing_configs()))
     def test_columns_match_the_row_loop(self, config):
+        # run_sweep refuses exactly the sweeps with a row that _check_row
+        # refuses, with the first such row's message; it derives every other
+        # sweep with the oracle's bits.
         with tempfile.TemporaryDirectory() as directory:
             spec = SweepSpec.from_config(
                 dict(config, output=str(Path(directory) / "rows.csv"))
             )
             try:
-                compute_rows(spec)
+                for value in spec.grid().tolist():
+                    sweep._check_row({**spec.fixed, spec.variable: value})
             except ValueError as exc:
                 with pytest.raises(ValueError) as info:
                     run_sweep(spec)
                 assert str(info.value) == str(exc)
                 assert list(Path(directory).iterdir()) == []
             else:
-                assert_packs_compute_rows(spec)
+                assert_matches_oracle(spec)

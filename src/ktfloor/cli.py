@@ -30,7 +30,9 @@ from .floors import ErrorSpec, first_passage_mc, floor_long, floor_short
 from .noise import OuProcess, stationary_path
 from .quantities import ROOM_TEMPERATURE, PhysicalEnvironment
 from .sweep import DEFAULT_SEED, SweepConfigError, load_config, run_sweep
-from .tank import MAX_RK4_STEPS, WAVEFORM_COLUMNS, TankCircuit, require_switch_count
+from .tank import (
+    MAX_RK4_STEPS, WAVEFORM_COLUMNS, TankCircuit, break_even_energy, require_switch_count,
+)
 
 
 def _refuse_unwritable(name: str, path) -> None:
@@ -299,6 +301,25 @@ def cmd_tank(args) -> int:
         initial_voltage=args.v0,
     )
     closed = tank.transfer_efficiency()
+    # Priced in kT before any file is written, as the sweep prices its row.
+    breakeven = overhead = None
+    if args.e_switch_kt is not None:
+        overhead_kt, break_even_kt = break_even_energy(
+            args.e_switch_kt, closed.efficiency, args.n_switches
+        )
+        overhead = env.kt_to_joules(overhead_kt)
+        breakeven = {
+            "e_switch_kT": args.e_switch_kt,
+            "n_switches": args.n_switches,
+            "net_saving_J": closed.energy_delivered - overhead,
+            "break_even_J": env.kt_to_joules(break_even_kt),
+            "break_even_kT": break_even_kt,
+        }
+        # Finite in kT can still overflow in joules at an extreme --temp.
+        for name, value in (("overhead_J", overhead), ("break_even_J", breakeven["break_even_J"])):
+            if value == math.inf:
+                raise ValueError(f"{name} overflows a float for these inputs")
+
     rk4 = rk4_gap = None
     if run_rk4:
         if closed.efficiency == 0.0:
@@ -307,20 +328,6 @@ def cmd_tank(args) -> int:
         if args.dump_waveform is not None:
             write_numeric_csv(args.dump_waveform, WAVEFORM_COLUMNS, rk4.waveform)
         rk4_gap = (rk4.efficiency - closed.efficiency) / closed.efficiency
-
-    breakeven = overhead = None
-    if args.e_switch_kt is not None:
-        breakeven = tank.break_even(
-            e_switch_control=env.kt_to_joules(args.e_switch_kt),
-            n_switch_events=args.n_switches,
-        )
-        overhead = breakeven.overhead
-        break_even_kt = env.joules_to_kt(breakeven.break_even_energy)
-        if break_even_kt == math.inf:
-            raise ValueError(
-                f"--e-switch-kt {args.e_switch_kt!r} x --n-switches "
-                f"{args.n_switches} overflows the break-even energy in kT"
-            )
 
     payload = {
         "command": "tank",
@@ -343,15 +350,7 @@ def cmd_tank(args) -> int:
             "energy_delivered_J": rk4.energy_delivered,
             "efficiency": rk4.efficiency,
         },
-        "break_even": None
-        if breakeven is None
-        else {
-            "e_switch_kT": args.e_switch_kt,
-            "n_switches": args.n_switches,
-            "net_saving_J": breakeven.net_saving,
-            "break_even_J": breakeven.break_even_energy,
-            "break_even_kT": break_even_kt,
-        },
+        "break_even": breakeven,
     }
     _report(args, payload, _TANK_TEXT, rk4_gap=rk4_gap, overhead_J=overhead)
     return 0

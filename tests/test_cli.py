@@ -6,11 +6,13 @@ import math
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ktfloor import cli
 from ktfloor.cli import _OPTIONS, build_parser, main
 from ktfloor.floors import MAX_MC_DRAWS, MAX_MC_OBSERVATIONS
-from ktfloor.sweep import DEFAULT_SEED
+from ktfloor.sweep import DEFAULT_SEED, SweepSpec, compute_rows
 from ktfloor.tank import MAX_RK4_STEPS, WAVEFORM_COLUMNS, TankCircuit
 
 
@@ -388,15 +390,39 @@ class TestTankCommand:
         assert (code, out) == (2, "")
         assert err == "error: --e-switch-kt must be finite, got inf\n"
 
+    def test_negative_switch_energy_is_refused_in_kt(self, capsys):
+        code, out, err = run_cli(capsys, *self.Q100, "--e-switch-kt=-1")
+        assert (code, out) == (2, "")
+        assert err == "error: e_switch_control must be >= 0, got -1.0\n"
+
     def test_overflowing_break_even_is_refused_by_name(self, capsys):
         code, out, err = run_cli(
             capsys, *self.Q100, "--e-switch-kt", "1e308", "--n-switches", "10"
         )
         assert (code, out) == (2, "")
         assert err == (
-            "error: --e-switch-kt 1e+308 x --n-switches 10 overflows the "
-            "break-even energy in kT\n"
+            "error: break-even energy inf / efficiency 0.9691205011632559 "
+            "is not finite\n"
         )
+
+    def test_break_even_overflowing_only_in_joules_is_refused_by_name(self, capsys):
+        # 2e100 kT is finite; at 1e300 K it is not, in joules.
+        code, out, err = run_cli(
+            capsys, "tank", "--inductance", "1e-9", "--c1", "1e-15", "--c2", "1e-15",
+            "--resistance", "10", "--v0", "1", "--temp", "1e300",
+            "--e-switch-kt", "1e100", "--json",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: overhead_J overflows a float for these inputs\n"
+
+    def test_net_saving_takes_the_overhead_priced_in_kt(self, capsys):
+        # 3 x 3e7 kT converted once; three times the joules of 3e7 kT is an
+        # ulp higher, and net_saving_J an ulp lower.
+        code, out, _ = run_cli(
+            capsys, *self.Q100, "--e-switch-kt", "3e7", "--n-switches", "3", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["break_even"]["net_saving_J"] == 1.1178502058162796e-13
 
     def test_overflowing_switch_count_is_refused_by_name(self, capsys):
         code, out, err = run_cli(
@@ -634,6 +660,97 @@ class TestSweepCommand:
         assert err == f"error: {config}: config root must be a JSON object\n"
 
 
+def sweep_row(temperature, fixed):
+    """The sweep's row for these parameters: the first point of a T sweep."""
+    spec = SweepSpec(
+        variable="T", scale="linear", start=temperature, stop=2.0 * temperature,
+        points=2, output_path="unused.csv", fixed=fixed,
+    )
+    return compute_rows(spec)[0]
+
+
+def json_of(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    return json.loads(out)
+
+
+def differing(pairs):
+    """The names of the (printed, row) figure pairs whose bits differ."""
+    return [name for name, (shown, cell) in pairs.items() if repr(shown) != repr(cell)]
+
+
+# capsys is read out after every call, so one fixture serves every example.
+derandomized = settings(
+    max_examples=100, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestOneSourcePerFigure:
+    """Each figure a command prints and a sweep row also holds is the row's cell."""
+
+    @derandomized
+    @given(
+        epsilon=st.floats(1e-300, 0.4), t_obs=st.floats(1e-6, 1e3),
+        tau=st.floats(1e-12, 1e-9), temp=st.floats(1.0, 1e3),
+    )
+    def test_floor(self, capsys, epsilon, t_obs, tau, temp):
+        payload = json_of(
+            capsys, "floor", f"--epsilon={epsilon!r}", f"--t-obs={t_obs!r}",
+            f"--tau={tau!r}", f"--temp={temp!r}",
+        )
+        row = sweep_row(temp, {"epsilon": epsilon, "t_o": t_obs, "tau": tau})
+        short, long = payload["short"], payload["long"]
+        assert differing({
+            "thermal_energy_J": (payload["thermal_energy_J"], row["thermal_energy_J"]),
+            "floor_short_kT": (short["floor_kT"], row["floor_short_kT"]),
+            "floor_short_J": (short["floor_J"], row["floor_short_J"]),
+            "floor_long_kT": (long["floor_kT"], row["floor_long_kT"]),
+            "floor_long_J": (long["floor_J"], row["floor_long_J"]),
+        }) == []
+
+    @derandomized
+    @given(
+        cap=st.floats(1e-18, 1e-9), swing=st.floats(1e-3, 2.0), temp=st.floats(1.0, 1e3)
+    )
+    def test_cycle(self, capsys, cap, swing, temp):
+        payload = json_of(
+            capsys, "cycle", f"--cap={cap!r}", f"--swing={swing!r}", f"--temp={temp!r}"
+        )
+        row = sweep_row(temp, {"C": cap, "U1": swing})
+        assert differing({
+            "cycle_J": (payload["e_input_J"], row["cycle_J"]),
+            "cycle_kT": (payload["e_input_kT"], row["cycle_kT"]),
+            "epsilon_inst": (payload["epsilon_per_observation"], row["epsilon_inst"]),
+        }) == []
+
+    @derandomized
+    @given(
+        # The sweep's unit tank has R = 1/q, so only an R that 1/(1/R)
+        # gives back is the same tank.
+        resistance=st.floats(1e-3, 1.9).filter(lambda r: 1.0 / (1.0 / r) == r),
+        e_switch=st.floats(0.0, 1e3), n_switches=st.integers(2, 10),
+        temp=st.floats(1.0, 1e3),
+    )
+    def test_unit_tank(self, capsys, resistance, e_switch, n_switches, temp):
+        payload = json_of(
+            capsys, "tank", "--inductance", "1", "--c1", "1", "--c2", "1",
+            f"--resistance={resistance!r}", "--v0", "1",
+            f"--e-switch-kt={e_switch!r}", f"--n-switches={n_switches}",
+            f"--temp={temp!r}",
+        )
+        row = sweep_row(
+            temp, {"q": 1.0 / resistance, "e_switch": e_switch, "n_switches": n_switches}
+        )
+        efficiency, breakeven = payload["closed_form"]["efficiency"], payload["break_even"]
+        assert differing({
+            "tank_efficiency": (efficiency, row["tank_efficiency"]),
+            "break_even_kT": (breakeven["break_even_kT"], row["break_even_kT"]),
+            "break_even_J": (breakeven["break_even_J"], row["break_even_J"]),
+        }) == []
+
+
 def unreachable(*args, **kwargs):
     raise AssertionError("the work ran before the output path was checked")
 
@@ -715,6 +832,18 @@ class TestUnwritableOutput:
         assert err.endswith(": it is the config file\n")
         assert (tmp_path / config_name).read_text() == text
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([config_name, "sub"])
+
+
+class TestRefusedRunWritesNothing:
+    def test_tank_break_even_is_priced_before_the_waveform(self, capsys, tmp_path):
+        dump = tmp_path / "w.csv"
+        code, out, err = run_cli(
+            capsys, *TestTankCommand.Q100, "--simulate", "--dump-waveform", str(dump),
+            "--e-switch-kt", "1e308", "--n-switches", "10",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not dump.exists()
 
 
 class TestTopLevel:

@@ -620,6 +620,29 @@ class TestFirstPassageMc:
         assert result.hits == 97
         assert counts == [100] * 81 + [92]
 
+    # Scaling C by 4**j and R by 4**-j keeps tau and a, and scales sigma, b
+    # and a threshold k*sigma by 2**-j; a power of two commutes with every
+    # rounding away from overflow and underflow, so each path and each
+    # comparison scale exactly.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        cap=st.floats(1e-17, 1e-13), res=st.floats(1e3, 1e7), j=st.integers(1, 8),
+        k_sigma=st.floats(0.0, 5.0), n_obs=st.integers(1, 40),
+        trials=st.integers(1, 2000), seed=st.integers(0, 2**64 - 1),
+    )
+    def test_scaled_stage_gives_identical_hits(
+        self, cap, res, j, k_sigma, n_obs, trials, seed
+    ):
+        results = []
+        for scale in (1.0, 4.0**j):
+            stage = make_stage(cap=cap * scale, res=res / scale)
+            t_obs = n_obs * stage.correlation_time
+            results.append(first_passage_mc(
+                stage, k_sigma * stage.noise_sigma, t_obs, trials=trials, seed=seed
+            ))
+        plain, scaled = results
+        assert (scaled.hits, scaled.epsilon_hat) == (plain.hits, plain.epsilon_hat)
+
     def test_window_past_chunk_byte_limit_is_refused_before_allocating(
         self, monkeypatch
     ):

@@ -1,12 +1,13 @@
 """Hypothesis fuzz of ``main(argv)`` over every subcommand.
 
 Each call must end with exit 0, 2 or 3, print no traceback, put exactly one
-line on stderr when it exits 2 (and nothing when it does not), and finish
-within a time budget.  The strategies draw NaN, infinities, negatives and
-out-of-range values, but bound the work themselves (trials, window length,
-workers, RK4 steps, sweep points), so that the fuzz cannot cause the blow-up
-it looks for.  Every argv parses, so exit 2 is always a domain refusal and
-never an argparse usage message.
+line on stderr and leave no output file when it exits 2 (and print nothing
+on stderr when it does not), and finish within a time budget.  The
+strategies draw NaN, infinities, negatives and out-of-range values, but
+bound the work themselves (trials, window length, workers, RK4 steps, sweep
+points), so that the fuzz cannot cause the blow-up it looks for.  Every argv
+parses, so exit 2 is always a domain refusal and never an argparse usage
+message.
 """
 
 import contextlib
@@ -203,6 +204,9 @@ def sweep_config(draw, tmp_path):
     }
 
 
+# The files the strategies name as command outputs.
+OUTPUT_FILES = ("path.csv", "waveform.csv", "rows.csv", "rows.manifest.json")
+
 STRATEGIES = {
     "floor": lambda tmp_path: floor_argv(),
     "cycle": lambda tmp_path: cycle_argv(),
@@ -224,6 +228,10 @@ def test_main_ends_with_a_known_exit_and_at_most_one_error_line(
     tmp_path, command, data
 ):
     argv = data.draw(STRATEGIES[command](tmp_path), label="argv")
+    # Every example shares tmp_path, so an earlier example's file is cleared.
+    outputs = [tmp_path / name for name in OUTPUT_FILES]
+    for path in outputs:
+        path.unlink(missing_ok=True)
     if command == "sweep":
         path = tmp_path / "config.json"
         # json.dumps writes NaN and Infinity, which json.loads reads back.
@@ -240,6 +248,7 @@ def test_main_ends_with_a_known_exit_and_at_most_one_error_line(
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
+        assert [path.name for path in outputs if path.exists()] == []
     else:
         assert err.getvalue() == ""
     assert elapsed < PER_CALL_BUDGET_S

@@ -154,7 +154,7 @@ STDOUT_DIGESTS = {
     "tank": "ad178bf58eb89a4f348ed43906c1c616991c9365a79a729bd6ddea6d1a5a2f99",
     "tank-asymmetric --json": "aac237ab27b42b10e3c1b29ded61ae1e3d1db834b6933b20c5b1d43f88ec7b8e",
     "tank-asymmetric": "58774f6d7e0b779f425b099fd55b3c66e7b7b3b1b36014b70347fa181f8e0804",
-    "tank-break-even --json": "a5b9849692fa2fbf2d3bd6195e30f75213425445b4f76f5b87de239a4a9f032e",
+    "tank-break-even --json": "d79d2f2961955ead05873f0dbff2415a5a271e38d5c95f67bd401354b1247308",
     "tank-break-even": "41c353a09202e83423ea7ec967f8f109fc3a802645b6f4e579f46d98ab3ee84f",
     "tank-lossless --json": "d962d6582761f9b294e049f899f78e23b9c776e81aed8ff73e4db6cdad1d2887",
     "tank-lossless": "ee31ac72f7ec5c33283088552990eae23e354571b230fbb9ba5857923c58f791",

@@ -15,7 +15,6 @@ re-examined once per tau.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import operator
 from dataclasses import dataclass
@@ -24,9 +23,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .circuit import RcStage
-from .noise import (
-    OuProcess, _normal_fill, _require_seed, path_generator, rekeyable_generator
-)
+# benchmarks/tracing.py patches floors.path_generator (ROADMAP item 17).
+from .noise import OuProcess, _fill_paths, _require_seed, path_generator
 from .quantities import PhysicalEnvironment, require
 
 _SQRT2 = math.sqrt(2.0)
@@ -224,11 +222,13 @@ def required_swing(epsilon_target: float, stage: RcStage) -> SwingRequirement:
     """Swing U1 needed so one observation against a half-swing threshold errs
     with probability epsilon_target, and the energy C*U1**2/2 that swing costs.
 
-    U1 = 2*sigma*Phi_bar^{-1}(epsilon), so E1 = 2*kT*(Phi_bar^{-1}(epsilon))**2:
-    always above the kT*ln(1/epsilon) floor, approaching 4x the floor as
-    epsilon -> 0.  Uses the stage's capacitance and bath; its configured swing
-    is ignored.  Raises ValueError, naming the swing, when the swing or its
-    energy is not finite.
+    U1 = 2*sigma*Phi_bar^{-1}(epsilon), so E1 = 2*kT*(Phi_bar^{-1}(epsilon))**2.
+    That is above the kT*ln(1/epsilon) floor only below epsilon* ~ 0.1754,
+    where the quantile is ~ 0.9328 and 2*x**2 = ln(1/epsilon); past it E1 is
+    below the floor (1.417 kT against 1.609 kT at 0.2), and as epsilon -> 0
+    it approaches 4x the floor.  Uses the stage's capacitance and bath; its
+    configured swing is ignored.  Raises ValueError, naming the swing, when
+    the swing or its energy is not finite.
     """
     if not 0.0 < epsilon_target < 0.5:
         raise ValueError(
@@ -304,25 +304,7 @@ def _chunk_hits(
     n_obs: int,
 ) -> int:
     """Exceedance count for trials [first_trial, first_trial + count)."""
-    z = np.empty((count, n_obs + 1))
-    # One generator per chunk, re-keyed for every trial by writing its Philox
-    # state words in place, and each row filled by numpy's C normal fill
-    # through a pointer stepped along z.  At n_obs = 10 a trial costs about
-    # 0.5 us to re-key, 0.5 us to fill its row (1.1 us through
-    # standard_normal(out=z[i])), 0.1 us to step the pointer and 0.2 us in
-    # the loop and the AR(1) kernel.
-    gen = rekeyable_generator()
-    if gen is None:
-        for i in range(count):
-            path_generator(seed, first_trial + i).standard_normal(out=z[i])
-    else:
-        fill, bitgen = _normal_fill(), gen.bit_generator.ctypes.bit_generator
-        draws, row = ctypes.c_ssize_t(n_obs + 1), ctypes.c_void_p(z.ctypes.data)
-        stride = z.strides[0]
-        for i in range(count):
-            path_generator(seed, first_trial + i, gen)
-            fill(bitgen, draws, row)
-            row.value += stride
+    z = _fill_paths(seed, first_trial, np.empty((count, n_obs + 1)))
     # Look-major: b*z goes into a tile of `looks` by `count`, so each look
     # updates v and peak in place from one contiguous tile row (about
     # 3 x 8 KB at 1047 trials, inside L1d) and allocates nothing.  v*a + b*z

@@ -14,17 +14,13 @@ analytic moments directly.
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, path_index)``: path i always consumes its own stream, so results do
 not depend on how many paths are generated, in what order, or on how work is
-split across threads.  A Philox's whole state is its (key, counter) pair, so
-a hot loop may re-key one generator from ``rekeyable_generator`` per path by
-passing it to ``path_generator``, which writes its state words in place
-through ctypes views, and fill the path's row with numpy's C
-``random_standard_normal_fill`` (``_normal_fill``), the function
-``standard_normal`` wraps.  For 11 normals the re-key takes about 0.5 us
-and the C fill 0.5 us, where ``standard_normal(out=row)`` takes 1.1 us with
-the row view.  The draws are bit-identical to a fresh generator's.  Should a
+split across threads.  ``_fill_paths`` is the one routine that draws, a row
+per stream, for the Monte Carlo and single paths alike.  For more than one
+row it re-keys one ``rekeyable_generator`` per row in place through ctypes
+and fills each row with numpy's C ``random_standard_normal_fill``
+(``_normal_fill``), which ``standard_normal`` wraps, bit for bit.  Should a
 per-process probe find numpy's C Philox struct laid out otherwise, or the C
-fill be missing, ``rekeyable_generator`` returns None and each path gets a
-fresh generator instead.
+fill be missing, each row gets a fresh generator.
 
 ``sample_path`` and ``stationary_path`` run the recursion as a Python loop
 for at most 2**16 samples per process and through ``scipy.signal.lfilter``
@@ -168,12 +164,12 @@ def _normal_fill():
 def rekeyable_generator() -> np.random.Generator | None:
     """A Philox-backed generator for ``path_generator`` to re-key per path.
 
-    Re-keying it writes the Philox state words in place, which costs less
-    than half of numpy's state setter, and ``_normal_fill`` draws a path
-    from it through one C call.  None if the installed numpy's Philox struct
-    does not have the layout the re-key relies on, or its C normal fill
-    is missing: each path then gets a fresh generator from
-    ``path_generator``, with the same draws.
+    ``_fill_paths``, the one draw routine, re-keys it per row, which writes
+    the Philox state words in place at less than half the cost of numpy's
+    state setter, and draws each row through ``_normal_fill``'s one C call.
+    None if the installed numpy's Philox struct does not have the layout the
+    re-key relies on, or its C normal fill is missing: each row then gets a
+    fresh generator from ``path_generator``, with the same draws.
     """
     if not _philox_layout_matches() or _normal_fill() is None:
         return None
@@ -202,7 +198,8 @@ def path_generator(
     buffer) and returned; the draws are bit-identical either way.  The object
     is reused, so it must not be shared between threads, and draws meant for
     an earlier path must be taken before it is re-keyed.  Any other
-    generator raises ValueError.
+    generator raises ValueError.  ``_fill_paths``, the one routine in this
+    package that draws, takes every stream through this function.
     """
     if not _SEED_MIN <= seed < _KEY_LIMIT:
         raise ValueError(_SEED_RANGE.format(seed))
@@ -220,6 +217,26 @@ def path_generator(
         raise ValueError("generator must come from rekeyable_generator()") from None
     rekey(seed_word, path_index)
     return generator
+
+
+def _fill_paths(seed: int, first_index: int, out: np.ndarray) -> np.ndarray:
+    """Fill row r of ``out``, a C-contiguous float64 (rows, n) array, with the
+    first n normals of stream (seed, first_index + r), and return ``out``.
+    One row takes a fresh generator, as a re-keyable one costs about two.
+    """
+    gen = rekeyable_generator() if len(out) > 1 else None
+    if gen is None:
+        for r, row in enumerate(out):
+            path_generator(seed, first_index + r).standard_normal(out=row)
+        return out
+    fill, bitgen = _normal_fill(), gen.bit_generator.ctypes.bit_generator
+    draws, row = ctypes.c_ssize_t(out.shape[1]), ctypes.c_void_p(out.ctypes.data)
+    stride = out.strides[0]
+    for i in range(first_index, first_index + len(out)):
+        path_generator(seed, i, gen)
+        fill(bitgen, draws, row)
+        row.value += stride
+    return out
 
 
 @dataclass(frozen=True)
@@ -350,7 +367,7 @@ def sample_path(
     _require_path_length(n)
     require("v0", v0, "V")
     a, b = process.update_coefficients(dt)
-    z = path_generator(seed, path_index).standard_normal(n)
+    z = _fill_paths(seed, path_index, np.empty((1, n)))[0]
     return NoisePath(
         dt=dt, v0=v0, samples=_recurse(a, b, z, v0), seed=seed, path_index=path_index
     )
@@ -372,7 +389,7 @@ def stationary_path(
     seed = _require_seed(seed)
     _require_path_length(n)
     a, b = process.update_coefficients(dt)
-    z = path_generator(seed, path_index).standard_normal(n + 1)
+    z = _fill_paths(seed, path_index, np.empty((1, n + 1)))[0]
     v0 = process.stationary_sigma * z[0]
     return NoisePath(
         dt=dt, v0=v0, samples=_recurse(a, b, z[1:], v0), seed=seed, path_index=path_index

@@ -420,6 +420,19 @@ class TestRequiredSwing:
             e_kt = required_swing(float(eps), stage).energy_kt
             assert e_kt > -math.log(eps)
 
+    # E1 = 2*x**2 kT at x = Phi_bar^{-1}(eps) meets ln(1/eps) at
+    # eps* ~ 0.1754 (x ~ 0.9328).
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(eps=st.floats(1e-300, 0.17), cap=st.floats(1e-18, 1e-9))
+    def test_energy_is_at_least_the_floor_below_the_crossover(self, eps, cap):
+        need = required_swing(eps, make_stage(cap=cap))
+        assert need.energy_kt >= -math.log(eps)
+
+    def test_energy_is_below_the_floor_past_the_crossover(self):
+        need = required_swing(0.2, make_stage())
+        assert need.energy_kt == pytest.approx(1.4166526, rel=1e-7)
+        assert need.energy_kt < -math.log(0.2)
+
     def test_ratio_to_floor_approaches_four(self):
         stage = make_stage()
         ratio_1e30 = required_swing(1e-30, stage).energy_kt / FLOOR_KT_1E30
@@ -587,15 +600,16 @@ class TestFirstPassageMc:
             assert slow == fast
 
     def test_path_generator_is_called_once_per_trial(self, monkeypatch):
-        # The benchmark's tracer counts trials at this attribute.
+        # noise._fill_paths keys every trial's stream through
+        # noise.path_generator, where the benchmark's tracer counts trials.
         calls = []
-        original = floors.path_generator
+        original = noise.path_generator
 
         def counting(seed, index, generator=None):
             calls.append(index)
             return original(seed, index, generator)
 
-        monkeypatch.setattr(floors, "path_generator", counting)
+        monkeypatch.setattr(noise, "path_generator", counting)
         result = first_passage_mc(
             make_stage(res=1e5), 3.0 * SIGMA_1FF_300K, 1e-9, trials=8192, seed=12345
         )
@@ -703,16 +717,22 @@ class TestFirstPassageMc:
         )
         assert result.hits == 97
 
-    @pytest.mark.parametrize("n_obs", [1, 7, 31, 32, 33, 64, 100, 200])
+    @pytest.mark.parametrize(
+        "n_obs", [1, 7, 31, 32, 33, 64, 100, 200, 1000, 2**16 + 1]
+    )
     def test_trials_consume_per_path_streams(self, monkeypatch, n_obs):
         # Trial i of the Monte Carlo must see exactly the path that
         # stationary_path(seed, path_index=i) produces, across chunks of 10
         # trials with a short last one, whose tiles hold min(32, n_obs) looks
-        # (the last tile short at 33, 100 and 200).  The threshold sits at
-        # the median path maximum (at least 0 V, as first_passage_mc
+        # (the last tile short at 33, 100, 200, 1000 and 2**16 + 1).  From
+        # 1000 looks on, lfilter builds every path, with the Python loop's
+        # per-process budget spent whatever ran before.  The threshold sits
+        # at the median path maximum (at least 0 V, as first_passage_mc
         # requires), so an ulp of difference in a maximum near it would
         # change the count.
         monkeypatch.setattr(floors, "_MC_CHUNK_BYTES", 10 * 8 * (n_obs + 1))
+        if n_obs >= 1000:
+            monkeypatch.setattr(noise, "_looped_samples", noise._PYTHON_RECURSION_MAX)
         stage = make_stage()
         process = OuProcess.from_stage(stage)
         trials, seed = 64, 17

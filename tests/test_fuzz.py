@@ -133,6 +133,7 @@ def tank_argv(draw, tmp_path):
     c2 = c1 * draw(between(0.01, 100.0))
     q = draw(st.one_of(st.just(math.inf), between(0.6, 1e6)))
     resistance = math.sqrt(inductance / max(c1, c2)) / q
+    e_switch = None
     if draw(st.booleans()):
         # Closed form only: no loop, so any float goes.
         argv = [
@@ -145,7 +146,10 @@ def tank_argv(draw, tmp_path):
         ]
     else:
         # RK4: C2/C1 within 100, q >= 0.6 and dt at most 4x finer than the
-        # bound keep a run to about 13k steps.
+        # bound keep a run to about 13k steps.  Half the runs that dump a
+        # waveform take a break-even that overflows in kT at any
+        # --n-switches, which is refused before RK4 writes anything.
+        dump, overflow = draw(st.booleans()), draw(st.booleans())
         dt_bound = math.sqrt(inductance * min(c1, c2)) / 100.0
         argv = [
             "tank",
@@ -159,10 +163,14 @@ def tank_argv(draw, tmp_path):
         if draw(st.booleans()):
             fraction = draw(maybe_refused(between(0.25, 4.0)))
             argv += opt("--dt", dt_bound * fraction)
-        if draw(st.booleans()):
+        if dump:
             argv += ["--dump-waveform", str(tmp_path / "waveform.csv")]
-    if draw(st.booleans()):
-        argv += opt("--e-switch-kt", draw(mostly(between(0.0, 1e3))))
+            if overflow:
+                e_switch = draw(between(1e308, 1.7e308))
+    if e_switch is None and draw(st.booleans()):
+        e_switch = draw(mostly(between(0.0, 1e3)))
+    if e_switch is not None:
+        argv += opt("--e-switch-kt", e_switch)
     if draw(st.booleans()):
         argv += opt("--n-switches", draw(st.sampled_from([-1, 0, 1, 2, 3, 10**400])))
     return argv + draw(common())

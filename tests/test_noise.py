@@ -218,6 +218,33 @@ class TestReproducibility:
         assert noise._normal_fill() is not None
         assert type(noise.rekeyable_generator()) is noise._rekeyable_generator_class()
 
+    @pytest.mark.parametrize("layout_matches", [True, False])
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_fill_paths_fills_each_row_from_its_own_stream(
+        self, monkeypatch, rows, layout_matches
+    ):
+        # The one draw routine re-keys a generator from two rows on when the
+        # layout probe passes, and otherwise keys a fresh one per row; either
+        # way each row holds its own stream's first normals.
+        calls = []
+        original = noise.path_generator
+
+        def counting(seed, index, generator=None):
+            calls.append((index, generator is not None))
+            return original(seed, index, generator)
+
+        if not layout_matches:
+            monkeypatch.setattr(noise, "_philox_layout_matches", lambda: False)
+        monkeypatch.setattr(noise, "path_generator", counting)
+        seed, first, n = -3, 2**64 - 5, 11
+        out = np.full((rows, n), np.nan)
+        assert noise._fill_paths(seed, first, out) is out
+        rekeyed = layout_matches and rows > 1
+        assert calls == [(first + r, rekeyed) for r in range(rows)]
+        for r in range(rows):
+            fresh = original(seed, first + r).standard_normal(n)
+            assert out[r].tobytes() == fresh.tobytes(), r
+
     def test_seed_independence_cross_correlation(self):
         process = OuProcess.from_stage(STAGE)
         a = stationary_path(process, 1e-9, 1_000_000, seed=1).samples

@@ -224,23 +224,16 @@ STRATEGIES = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(STRATEGIES))
-@settings(
-    max_examples=40,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(data=st.data())
-def test_main_ends_with_a_known_exit_and_at_most_one_error_line(
-    tmp_path, command, data
-):
-    argv = data.draw(STRATEGIES[command](tmp_path), label="argv")
+def check_main(argv, tmp_path):
+    """Run ``main(argv)`` and assert the fuzz's contract; return the exit code.
+
+    A ``dict`` argv is a sweep config, written to a file that ``sweep`` reads.
+    """
     # Every example shares tmp_path, so an earlier example's file is cleared.
     outputs = [tmp_path / name for name in OUTPUT_FILES]
     for path in outputs:
         path.unlink(missing_ok=True)
-    if command == "sweep":
+    if isinstance(argv, dict):
         path = tmp_path / "config.json"
         # json.dumps writes NaN and Infinity, which json.loads reads back.
         path.write_text(json.dumps(argv))
@@ -260,3 +253,46 @@ def test_main_ends_with_a_known_exit_and_at_most_one_error_line(
     else:
         assert err.getvalue() == ""
     assert elapsed < PER_CALL_BUDGET_S
+    return code
+
+
+@pytest.mark.parametrize("command", sorted(STRATEGIES))
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_main_ends_with_a_known_exit_and_at_most_one_error_line(
+    tmp_path, command, data
+):
+    check_main(data.draw(STRATEGIES[command](tmp_path), label="argv"), tmp_path)
+
+
+# Refusals that must leave no file, which the strategies' fixed examples
+# need not draw: which cases they meet shifts with any strategy edit.
+KNOWN_REFUSALS = {
+    # The break-even energy overflows in kT, after the waveform is named.
+    "tank break-even overflows": lambda tmp_path: [
+        "tank", "--inductance", "1e-9", "--c1", "1e-15", "--c2", "1e-15",
+        "--resistance", "10", "--v0", "1", "--simulate",
+        "--dump-waveform", str(tmp_path / "waveform.csv"),
+        "--e-switch-kt", "1e308", "--n-switches", "10",
+    ],
+    # Row 4 is epsilon = 0.5, refused after rows 0-3 are derived.
+    "sweep epsilon reaches 0.5": lambda tmp_path: {
+        "variable": "epsilon", "scale": "linear", "start": 0.1, "stop": 0.6,
+        "points": 6, "output": str(tmp_path / "rows.csv"),
+    },
+    "mc dump path is a directory": lambda tmp_path: [
+        "mc", "--cap", "1e-15", "--res", "1e5", "--threshold-sigma", "3",
+        "--t-obs", "1e-9", "--trials", "100", "--dump-path", str(tmp_path),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(KNOWN_REFUSALS))
+def test_known_refusal_exits_2_and_leaves_no_file(tmp_path, case):
+    assert check_main(KNOWN_REFUSALS[case](tmp_path), tmp_path) == 2
+    assert [path.name for path in tmp_path.iterdir()] in ([], ["config.json"])

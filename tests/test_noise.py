@@ -33,6 +33,14 @@ STAGE = RcStage(capacitance=1e-15, resistance=1e6, swing_voltage=24.08e-3, env=E
 SIGMA_1FF_300K = 2.0351773878460816e-3
 
 
+def state_image(source):
+    """The 96 bytes of a Philox state the re-key writes: from the state
+    struct's buffer_pos (byte 16) to the end of the counter that follows
+    the key after the 64-byte struct."""
+    bit_generator = getattr(source, "bit_generator", source)
+    return ctypes.string_at(bit_generator.ctypes.state_address + 16, 96)
+
+
 class TestConstruction:
     def test_from_stage_equipartition_sigma(self):
         process = OuProcess.from_stage(STAGE)
@@ -127,11 +135,30 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("seed", [0, -3, 12345, 2**64 - 1, -(2**63)])
     def test_rekeyed_generator_matches_fresh_generator(self, seed):
+        # The re-key writes the 96 bytes from buffer_pos to the end of the
+        # counter; they must then be a freshly keyed Philox's, whatever the
+        # previous path's draws left there.
         gen = noise.rekeyable_generator()
         for index in (0, 1, 2**32 + 5, 2**63, 2**64 - 1):
-            fresh = path_generator(seed, index).standard_normal(1001)
-            rekeyed = path_generator(seed, index, gen).standard_normal(1001)
-            assert np.array_equal(rekeyed, fresh)
+            fresh = path_generator(seed, index)
+            rekeyed = path_generator(seed, index, gen)
+            assert state_image(rekeyed) == state_image(fresh), index
+            assert np.array_equal(rekeyed.standard_normal(1001), fresh.standard_normal(1001))
+
+    def test_refused_rekey_leaves_the_live_state_unchanged(self):
+        # A key refused midway through keying the template never reaches the
+        # live state, and the next re-key still draws a fresh stream.
+        gen = noise.rekeyable_generator()
+        path_generator(5, 3, gen).standard_normal(3)
+        before = state_image(gen)
+        for seed, index, error in [
+            (0, 2**64, ValueError), (0, 2.0, TypeError), (2**64, 0, ValueError)
+        ]:
+            with pytest.raises(error):
+                path_generator(seed, index, gen)
+            assert state_image(gen) == before, (seed, index)
+        fresh = path_generator(7, 2).standard_normal(11)
+        assert path_generator(7, 2, gen).standard_normal(11).tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("seed", [0, -3, 12345, 2**64 - 1, -(2**63)])
     def test_c_normal_fill_matches_standard_normal(self, seed):
@@ -244,6 +271,29 @@ class TestReproducibility:
         for r in range(rows):
             fresh = original(seed, first + r).standard_normal(n)
             assert out[r].tobytes() == fresh.tobytes(), r
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("kind", ["float32", "strided rows", "read-only"])
+    def test_fill_paths_refuses_an_out_it_cannot_fill(self, monkeypatch, rows, kind):
+        # One row takes numpy's checked draw, more take the unchecked C fill,
+        # which wrote past the end of a float32 view; both refuse before any
+        # draw, with the same error, and the buffer behind ``out`` is intact.
+        def no_draw(*args):
+            raise AssertionError("drew before refusing out")
+
+        monkeypatch.setattr(noise, "path_generator", no_draw)
+        buffer = np.zeros(4 * rows * 20)
+        views = {
+            "float32": buffer.view(np.float32)[: rows * 20].reshape(rows, 20),
+            "strided rows": buffer[: rows * 40].reshape(rows, 40)[:, ::2],
+            "read-only": buffer[: rows * 20].reshape(rows, 20),
+        }
+        out = views[kind]
+        out.flags.writeable = kind != "read-only"
+        message = r"^out must be a writeable, aligned 2-D float64 array with contiguous rows"
+        with pytest.raises(TypeError, match=message):
+            noise._fill_paths(0, 0, out)
+        assert not buffer.any()
 
     def test_seed_independence_cross_correlation(self):
         process = OuProcess.from_stage(STAGE)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantities import PhysicalEnvironment, require
+from .quantities import PhysicalEnvironment, _count_text, require
 
 # Grid points of integrated_charge_dissipation, 8 MB per float64 array; the
 # default grid has 20001.
@@ -127,12 +127,13 @@ def integrated_charge_dissipation(
     require("step_fraction", step_fraction, gt=0)
     require("horizon", horizon, gt=0)
     intervals = horizon / step_fraction
-    if not intervals <= MAX_QUADRATURE_POINTS - 1:
+    points = round(intervals) + 1 if intervals < math.inf else intervals
+    if not points <= MAX_QUADRATURE_POINTS:
         raise ValueError(
             f"horizon {horizon!r} / step_fraction {step_fraction!r} needs "
-            f"{intervals + 1:.3g} grid points; the limit is {MAX_QUADRATURE_POINTS}"
+            f"{_count_text(points)} grid points; the limit is {MAX_QUADRATURE_POINTS}"
         )
     tau = stage.correlation_time
-    t = np.linspace(0.0, horizon * tau, int(round(intervals)) + 1)
+    t = np.linspace(0.0, horizon * tau, points)
     _, p = stage.transient_power(t)
     return float(np.trapezoid(p, t))

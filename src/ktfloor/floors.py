@@ -25,7 +25,7 @@ import numpy as np
 from .circuit import RcStage
 # benchmarks/tracing.py patches floors.path_generator (ROADMAP item 17).
 from .noise import OuProcess, _fill_paths, _require_seed, path_generator
-from .quantities import PhysicalEnvironment, require
+from .quantities import PhysicalEnvironment, _count_text, require
 
 _SQRT2 = math.sqrt(2.0)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -304,7 +304,7 @@ def _chunk_hits(
     n_obs: int,
 ) -> int:
     """Exceedance count for trials [first_trial, first_trial + count)."""
-    z = _fill_paths(seed, first_trial, np.empty((count, n_obs + 1)))
+    z = _fill_paths(seed, first_trial, count, n_obs + 1)
     # Look-major: b*z goes into a tile of `looks` by `count`, so each look
     # updates v and peak in place from one contiguous tile row (about
     # 3 x 8 KB at 1047 trials, inside L1d) and allocates nothing.  v*a + b*z
@@ -361,12 +361,9 @@ def first_passage_mc(
     seed = _require_seed(seed)
     n_obs = observation_count(observation_time, tau)
     if n_obs > MAX_MC_OBSERVATIONS:
-        # Past 2**53 the count's digits come from a float quotient, so it
-        # prints in e-notation rather than as up to 309 digits.
-        shown = n_obs if n_obs < 2**53 else f"{n_obs:.6g}"
         raise ValueError(
-            f"t_o/tau = {shown} observations per trial exceed the Monte Carlo "
-            f"limit of {MAX_MC_OBSERVATIONS}"
+            f"t_o/tau = {_count_text(n_obs)} observations per trial exceed the "
+            f"Monte Carlo limit of {MAX_MC_OBSERVATIONS}"
         )
     if trials * (n_obs + 1) > MAX_MC_DRAWS:
         raise ValueError(

@@ -14,12 +14,12 @@ analytic moments directly.
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, path_index)``: path i always consumes its own stream, so results do
 not depend on how many paths are generated, in what order, or on how work is
-split across threads.  ``_fill_paths`` is the one routine that draws, a row
-per stream, for the Monte Carlo and single paths alike.  For more than one
-row it re-keys one ``rekeyable_generator`` per row, copying a freshly keyed
-Philox's 96-byte state image over its own in one write through ctypes, and
-fills each row with numpy's C ``random_standard_normal_fill``
-(``_normal_fill``), which ``standard_normal`` wraps, bit for bit.  Should a
+split across threads.  ``_fill_paths``, the one routine that draws, returns
+a new array of one row per stream, for the Monte Carlo and single paths
+alike.  For more than one row it re-keys one ``rekeyable_generator`` per
+row, copying a freshly keyed Philox's 96-byte state image over its own in
+one write through ctypes, and fills each row with ``_normal_fill``, numpy's
+C ``random_standard_normal_fill`` that ``standard_normal`` wraps.  Should a
 per-process probe find numpy's C Philox state laid out otherwise, or the C
 fill be missing, each row gets a fresh generator.
 
@@ -171,8 +171,8 @@ def rekeyable_generator() -> np.random.Generator | None:
 
     ``_fill_paths``, the one draw routine, re-keys it per row with one
     96-byte write of the Philox state, at about a quarter of the cost of
-    numpy's state setter, and draws each row through ``_normal_fill``'s one
-    C call.
+    numpy's state setter, and fills each row it allocates through
+    ``_normal_fill``'s one C call.
     None if the installed numpy's Philox struct does not have the layout the
     re-key relies on, or its C normal fill is missing: each row then gets a
     fresh generator from ``path_generator``, with the same draws.
@@ -205,7 +205,7 @@ def path_generator(
     is reused, so it must not be shared between threads, and draws meant for
     an earlier path must be taken before it is re-keyed.  Any other
     generator raises ValueError.  ``_fill_paths``, the one routine in this
-    package that draws, takes every stream through this function.
+    package that draws, takes each row's stream through this function.
     """
     if not _SEED_MIN <= seed < _KEY_LIMIT:
         raise ValueError(_SEED_RANGE.format(seed))
@@ -229,27 +229,21 @@ def path_generator(
     return generator
 
 
-def _fill_paths(seed: int, first_index: int, out: np.ndarray) -> np.ndarray:
-    """Fill row r of ``out``, a writeable, aligned 2-D float64 array with
-    contiguous rows, with the first n normals of stream (seed,
-    first_index + r), and return ``out``.  Any other ``out`` raises
-    TypeError before a draw.  One row takes a fresh generator, as a
+def _fill_paths(seed: int, first_index: int, rows: int, n: int) -> np.ndarray:
+    """A new (rows, n) float64 array whose row r holds the first n normals of
+    stream (seed, first_index + r).  One row takes a fresh generator, as a
     re-keyable one costs about two.
     """
-    if out.ndim != 2 or out.dtype != np.float64 or out.strides[1] != 8 or not out.flags.behaved:
-        raise TypeError(
-            "out must be a writeable, aligned 2-D float64 array with contiguous "
-            f"rows, got {out.dtype} {out.shape} with strides {out.strides}"
-        )
-    gen = rekeyable_generator() if len(out) > 1 else None
+    out = np.empty((rows, n))
+    gen = rekeyable_generator() if rows > 1 else None
     if gen is None:
         for r, row in enumerate(out):
             path_generator(seed, first_index + r).standard_normal(out=row)
         return out
     fill, bitgen = _normal_fill(), gen.bit_generator.ctypes.bit_generator
-    draws, row = ctypes.c_ssize_t(out.shape[1]), ctypes.c_void_p()
-    start, stride = out.ctypes.data, out.strides[0]
-    for i, address in enumerate(range(start, start + stride * len(out), stride), first_index):
+    draws, row = ctypes.c_ssize_t(n), ctypes.c_void_p()
+    start, stride = out.ctypes.data, 8 * n
+    for i, address in enumerate(range(start, start + stride * rows, stride), first_index):
         path_generator(seed, i, gen)
         row.value = address
         fill(bitgen, draws, row)
@@ -384,7 +378,7 @@ def sample_path(
     _require_path_length(n)
     require("v0", v0, "V")
     a, b = process.update_coefficients(dt)
-    z = _fill_paths(seed, path_index, np.empty((1, n)))[0]
+    z = _fill_paths(seed, path_index, 1, n)[0]
     return NoisePath(
         dt=dt, v0=v0, samples=_recurse(a, b, z, v0), seed=seed, path_index=path_index
     )
@@ -406,7 +400,7 @@ def stationary_path(
     seed = _require_seed(seed)
     _require_path_length(n)
     a, b = process.update_coefficients(dt)
-    z = _fill_paths(seed, path_index, np.empty((1, n + 1)))[0]
+    z = _fill_paths(seed, path_index, 1, n + 1)[0]
     v0 = process.stationary_sigma * z[0]
     return NoisePath(
         dt=dt, v0=v0, samples=_recurse(a, b, z[1:], v0), seed=seed, path_index=path_index

@@ -36,6 +36,11 @@ def require(name, value, unit="", *, gt=None, ge=None, finite=True):
     raise ValueError(f"{name} must be {op} {f'{bound} {unit}'.rstrip()}, got {value!r}")
 
 
+def _count_text(count) -> str:
+    """A count for a message: in full below 2**53, else in e-notation."""
+    return str(count) if count < 2**53 else f"{count:.6g}"
+
+
 @dataclass(frozen=True)
 class PhysicalEnvironment:
     """Thermal bath shared by every circuit calculation.

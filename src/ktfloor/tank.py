@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantities import require
+from .quantities import _count_text, require
 
 # Pure-Python RK4 runs close to 10**6 steps per second, and a recorded
 # waveform holds 40 bytes a step; the default step of a symmetric tank takes
@@ -243,17 +243,19 @@ class TankCircuit:
             )
         t1, t2 = self.transfer_schedule()
         steps = t1 / dt + t2 / dt
+        if steps < math.inf:  # then count the steps the loop runs
+            n1, n2 = (max(1, math.ceil(t / dt)) for t in (t1, t2))
+            steps = n1 + n2
         if not steps <= MAX_RK4_STEPS:
             raise ValueError(
-                f"dt={dt!r} s needs {steps:.3g} RK4 steps over "
+                f"dt={dt!r} s needs {_count_text(steps)} RK4 steps over "
                 f"t1 + t2 = {t1 + t2!r} s; the limit is {MAX_RK4_STEPS} steps"
             )
         resistance = self.series_resistance
         inductance = self.inductance
         rows = array("d", (0.0, self.initial_voltage, 0.0, 0.0, 0.0))
 
-        def ring(v, i, e, cap, start, duration, row):
-            n = max(1, math.ceil(duration / dt))
+        def ring(v, i, e, cap, start, duration, n, row):
             h = duration / n
             for k in range(1, n + 1):
                 v, i, e = _rk4_step(v, i, e, h, cap, resistance, inductance)
@@ -263,7 +265,7 @@ class TankCircuit:
 
         # Phase 1: C1 rings into L.
         v1_residual, current, e_loss = ring(
-            self.initial_voltage, 0.0, 0.0, self.c1, 0.0, t1,
+            self.initial_voltage, 0.0, 0.0, self.c1, 0.0, t1, n1,
             lambda t, v, i, e: (t, v, i, 0.0, e),
         )
         # Commutation: C1 drops out with its residual voltage; the inductor
@@ -272,7 +274,7 @@ class TankCircuit:
         # Round-to-nearest is symmetric in sign, so from w = -0.0 every w is
         # exactly -v_C2.
         w, _, _ = ring(
-            -0.0, current, e_loss, self.c2, t1, t2,
+            -0.0, current, e_loss, self.c2, t1, t2, n2,
             lambda t, v, i, e: (t, v1_residual, i, -v, e),
         )
         delivered = 0.5 * self.c2 * w**2

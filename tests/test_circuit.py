@@ -165,14 +165,28 @@ class TestQuadratureCrossCheck:
         with pytest.raises(ValueError) as info:
             integrated_charge_dissipation(make_stage(), step_fraction=1e-12)
         assert str(info.value) == (
-            "horizon 20.0 / step_fraction 1e-12 needs 2e+13 grid points; "
+            "horizon 20.0 / step_fraction 1e-12 needs 20000000000001 grid points; "
             f"the limit is {MAX_QUADRATURE_POINTS}"
         )
-        # An overflowing quotient is refused by the same message.
+        # Past 2**53 the count prints in e-notation, and an overflowing
+        # quotient is refused by the same message.
+        with pytest.raises(ValueError, match=r"needs 1e\+305 grid points"):
+            integrated_charge_dissipation(
+                make_stage(), step_fraction=1e-5, horizon=1e300
+            )
         with pytest.raises(ValueError, match="needs inf grid points"):
             integrated_charge_dissipation(
                 make_stage(), step_fraction=5e-324, horizon=1e300
             )
+
+    def test_grid_of_exactly_the_point_limit_is_built(self):
+        # 999.9994 / 1e-3 rounds to 999999 intervals, so the grid has exactly
+        # MAX_QUADRATURE_POINTS points; 999.9996 rounds to one more.
+        stage = make_stage()
+        integral = integrated_charge_dissipation(stage, step_fraction=1e-3, horizon=999.9994)
+        assert integral == pytest.approx(stage.charge_energy(), rel=1e-5)
+        with pytest.raises(ValueError, match=f"needs {MAX_QUADRATURE_POINTS + 1} grid points"):
+            integrated_charge_dissipation(make_stage(), step_fraction=1e-3, horizon=999.9996)
 
     def test_bad_grid_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -206,6 +206,24 @@ class TestSimulation:
         with pytest.raises(ValueError, match="RK4 steps"):
             tank.simulate_transfer(dt=(t1 + t2) / 1010)
 
+    def test_step_count_cap_counts_the_steps_the_loop_runs(self, monkeypatch):
+        # t1/dt + t2/dt is 999.54 here, but each phase rounds its steps up:
+        # 398 + 603 = 1001 steps, one past the cap.
+        monkeypatch.setattr("ktfloor.tank.MAX_RK4_STEPS", 1000)
+        tank = make_tank(c2=2.3e-12)
+        dt = 3.9548406525362296e-12
+        t1, t2 = tank.transfer_schedule()
+        assert t1 / dt + t2 / dt < 1000
+        with pytest.raises(ValueError) as info:
+            tank.simulate_transfer(dt=dt)
+        assert str(info.value) == (
+            f"dt={dt!r} s needs 1001 RK4 steps over t1 + t2 = {t1 + t2!r} s; "
+            "the limit is 1000 steps"
+        )
+        # A step so fine that t/dt overflows is refused, not counted.
+        with pytest.raises(ValueError, match=r"needs inf RK4 steps"):
+            tank.simulate_transfer(dt=5e-324)
+
     def test_most_energy_lost_at_low_quality(self):
         # q just above the underdamped bound: the ring is mostly burned.
         report = make_tank(resistance=1800.0).simulate_transfer()
@@ -239,6 +257,51 @@ class TestSimulation:
         assert np.array_equal(report.waveform, waveform)
         assert report.waveform.tobytes() == waveform.tobytes()
         assert report.efficiency == efficiency
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        inductance=st.floats(1e-9, 1e-5),
+        cap=st.floats(1e-14, 1e-10),
+        # Near q = 0.5, 1 - 1/(4q**2) cancels and an ulp of q moves eta.
+        q=st.floats(0.55, 1e4) | st.just(math.inf),
+        v0=st.floats(1e-3, 10.0),
+    )
+    def test_symmetric_efficiency_depends_on_quality_factor_alone(
+        self, inductance, cap, q, v0
+    ):
+        # R = sqrt(L/C)/q gives both phases quality factor q, up to the
+        # rounding of R; the unit tank of symmetric_tank_efficiency is the
+        # reference.  RK4 at the default step lands within 7e-11 of it.
+        tank = make_tank(cap, cap, inductance, math.sqrt(inductance / cap) / q, v0)
+        reference = symmetric_tank_efficiency(q)
+        assert tank.transfer_efficiency().efficiency == pytest.approx(reference, rel=1e-12)
+        assert tank.simulate_transfer().efficiency == pytest.approx(reference, rel=1e-9)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        inductance=st.floats(1e-9, 1e-5),
+        c1=st.floats(1e-14, 1e-10),
+        ratio=st.floats(0.1, 10.0),
+        damping=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+        v0=st.floats(1e-3, 10.0),
+        # At the coarsest dt allowed and damping 0.95 the ledger is off by
+        # 9.6e-10; three quarters of it keeps a 3x margin below 1e-9.
+        dt_fraction=st.one_of(st.none(), st.floats(0.3, 0.75)),
+    )
+    def test_ledger_closes_at_every_recorded_row(
+        self, inductance, c1, ratio, damping, v0, dt_fraction
+    ):
+        # Phase 2 rows hold C1 at its residual voltage, so the stored
+        # energies and the resistive loss add up to E_init throughout.
+        c2 = c1 * ratio
+        resistance = damping * 2.0 * math.sqrt(inductance / max(c1, c2))
+        tank = make_tank(c1, c2, inductance, resistance, v0)
+        dt = None
+        if dt_fraction is not None:
+            dt = dt_fraction * math.sqrt(inductance * min(c1, c2)) / 100.0
+        _, v1, current, v2, e_loss = tank.simulate_transfer(dt=dt, record=True).waveform.T
+        total = 0.5 * c1 * v1**2 + 0.5 * inductance * current**2 + 0.5 * c2 * v2**2 + e_loss
+        np.testing.assert_allclose(total, tank.energy_initial, rtol=1e-9, atol=0.0)
 
 
 class TestBreakEven:
